@@ -35,14 +35,10 @@ type AutotuneOptions struct {
 // Skewed run their tournaments directly. The naive strategies (rows,
 // columns, blocks, abraham-hudak) are fixed shapes with no candidate set;
 // they fall through to Partition with a nil Result.
-func (pr *Program) Autotune(procs int, strategy Strategy, opts AutotuneOptions) (*Plan, *autotune.Result, error) {
-	return pr.AutotuneCtx(context.Background(), procs, strategy, opts)
-}
-
-// AutotuneCtx is Autotune with request-scoped tracing: when ctx carries an
-// obs.Trace, the tournament records a "tournament" span (candidates, winner
-// rank, measured misses). Without a trace it behaves exactly like Autotune.
-func (pr *Program) AutotuneCtx(ctx context.Context, procs int, strategy Strategy, opts AutotuneOptions) (*Plan, *autotune.Result, error) {
+//
+// The tournament records a "tournament" span in ctx (candidates, winner
+// rank, measured misses).
+func (pr *Program) Autotune(ctx context.Context, procs int, strategy Strategy, opts AutotuneOptions) (*Plan, *autotune.Result, error) {
 	reg := telemetry.Active()
 	switch strategy {
 	case Auto:
@@ -55,9 +51,9 @@ func (pr *Program) AutotuneCtx(ctx context.Context, procs int, strategy Strategy
 		reg.Emit("strategy.auto", "rect", map[string]any{
 			"reason": "no communication-free partition; tournament over footprint-optimal rectangles",
 		})
-		return pr.AutotuneCtx(ctx, procs, Rect, opts)
+		return pr.Autotune(ctx, procs, Rect, opts)
 	case Rect, Skewed:
-		res, err := autotune.RunTournamentCtx(ctx, pr.Analysis, autotune.TournamentOptions{
+		res, err := autotune.RunTournament(ctx, pr.Analysis, autotune.TournamentOptions{
 			Procs:       procs,
 			Strategy:    strategy.String(),
 			K:           opts.TopK,

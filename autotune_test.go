@@ -10,6 +10,7 @@ import (
 	"looppart"
 	"looppart/internal/autotune"
 	"looppart/internal/paperex"
+	"looppart/internal/telemetry"
 )
 
 // exampleNests are the nests the examples/ programs run (with bounds
@@ -87,7 +88,7 @@ func TestAutotunedPlanNeverWorseThanAnalytic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		tuned, res, err := prog.Autotune(procs, looppart.Rect, looppart.AutotuneOptions{TopK: 4})
+		tuned, res, err := prog.Autotune(context.Background(), procs, looppart.Rect, looppart.AutotuneOptions{TopK: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -116,7 +117,7 @@ func TestAutotuneAutoResolvesCommFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, res, err := prog.Autotune(4, looppart.Auto, looppart.AutotuneOptions{})
+	plan, res, err := prog.Autotune(context.Background(), 4, looppart.Auto, looppart.AutotuneOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,4 +301,43 @@ func TestServiceStatsIncludeStore(t *testing.T) {
 		t.Error("store stats missing fingerprint")
 	}
 	_ = fmt.Sprintf("%+v", st) // the struct must remain printable for the daemon's shutdown line
+}
+
+// TestServiceWarmLoadSkipsUndecodableEntries: warm-load decodes each
+// stored plan once; an entry whose value is not a plan (intact on disk,
+// so the store serves it) is left out of the cache and counted, and the
+// valid entry next to it still serves as a hit.
+func TestServiceWarmLoadSkipsUndecodableEntries(t *testing.T) {
+	dir := t.TempDir()
+	fp := autotune.ModelFingerprint()
+	store, err := autotune.OpenStore(dir, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := looppart.PlanRequest{Source: serviceNest, Procs: 8, Strategy: "rect"}
+	first, err := looppart.NewService(looppart.ServiceOptions{Store: store}).Plan(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put("rect/p8/not-a-plan", []byte(`"not a plan"`)); err != nil {
+		t.Fatal(err)
+	}
+
+	svc := looppart.NewService(looppart.ServiceOptions{Store: store})
+	reg := telemetry.New()
+	reg.Collect(svc.Collect)
+	snap := reg.Snapshot()
+	if got := svc.Stats().WarmLoaded; got != 1 {
+		t.Errorf("warm-loaded %d entries, want 1", got)
+	}
+	if got := snap.Counters["service.store.warm_skipped"]; got != 1 {
+		t.Errorf("service.store.warm_skipped = %d, want 1", got)
+	}
+	resp, err := svc.Plan(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != "hit" || !bytes.Equal(resp.Raw, first.Raw) || resp.Result.Rendered != first.Result.Rendered {
+		t.Errorf("warm-loaded entry served %q, want a byte-identical decoded hit", resp.Status)
+	}
 }

@@ -138,7 +138,7 @@ func BenchmarkRectSearch(b *testing.B) {
 		b.Run(fmt.Sprintf("P=%d", procs), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := partition.OptimizeRect(a, procs); err != nil {
+				if _, err := partition.OptimizeRect(context.Background(), a, procs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -152,7 +152,7 @@ func BenchmarkSkewSearch(b *testing.B) {
 		b.Run(fmt.Sprintf("P=%d", procs), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := partition.OptimizeSkew(a, procs, 2); err != nil {
+				if _, err := partition.OptimizeSkew(context.Background(), a, procs, 2); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -198,7 +198,7 @@ func BenchmarkCommSetsAnalyze(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		comm, err := plan.CommSets(commsets.Options{})
+		comm, err := plan.CommSetsCtx(context.Background(), commsets.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

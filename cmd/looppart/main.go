@@ -104,10 +104,11 @@ func run(args []string, out io.Writer) error {
 
 	// -explain needs the decision trace even without an output file, so it
 	// too turns the registry on.
-	reg, err := obs.Setup()
+	reg, err := obs.Setup("looppart")
 	if err != nil {
 		return err
 	}
+	defer obs.Close()
 	if reg == nil && *explain {
 		reg = telemetry.New()
 	}

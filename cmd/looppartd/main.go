@@ -56,14 +56,17 @@
 //	-reqlog DEST       structured JSON request log (one line per request,
 //	                   keyed by trace ID): stderr (default), stdout, a
 //	                   file path, or empty to disable
-//	-span-cap N        retained telemetry spans (default 4096)
 //	-event-cap N       retained decision events (default 16384)
-//	-trace FILE        write a Chrome trace on shutdown
+//	-trace FILE        on shutdown, write the flight recorder's request
+//	                   span trees as a Chrome trace
 //	-metrics FILE      write a metrics dump on shutdown
 //	-pprof ADDR        serve net/http/pprof on ADDR
 //
 // The daemon exits cleanly on SIGINT/SIGTERM, draining in-flight plans.
-// Live metrics are always available at GET /metrics.
+// Live metrics are always available at GET /metrics: the server's and
+// the components' counters, plus a "<span>.latency" histogram per span
+// name of the request trees (server.plan, parse, cache.lookup, search,
+// ...).
 //
 // Load-generator mode, for driving the serving benchmarks against a
 // running daemon:
@@ -204,7 +207,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	peerHedge := fs.Duration("peer-hedge", cluster.DefaultHedgeDelay, "duplicate a slow peer fill after this delay (negative = no hedging)")
 	hotKeys := fs.Int("hot-keys", 0, "pin the N hottest plans in a lock-free tier above the LRU (0 = off)")
 	quotaSpec := fs.String("quota", "", "per-tenant rate limit RATE[:BURST] requests/second (empty = off)")
-	spanCap := fs.Int("span-cap", 4096, "retained telemetry spans (0 = unbounded)")
 	eventCap := fs.Int("event-cap", 16384, "retained decision events (0 = unbounded)")
 	var sloSpecs sloFlags
 	fs.Var(&sloSpecs, "slo", "latency objective ROUTE=LATENCY[@TARGET], e.g. /v1/plan=250ms@0.99 (repeatable)")
@@ -244,7 +246,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("serve mode takes no arguments (use -loadgen to drive load)")
 	}
 
-	reg, err := obsFlags.Setup()
+	// No process trace: every request carries its own, and -trace writes
+	// the flight recorder's request trees.
+	reg, err := obsFlags.Setup("")
 	if err != nil {
 		return err
 	}
@@ -252,7 +256,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		// The daemon always runs with telemetry on: /metrics serves it.
 		reg = telemetry.New()
 	}
-	reg.SetRecordCaps(*spanCap, *eventCap)
+	reg.SetEventCap(*eventCap)
 	prev := telemetry.SetActive(reg)
 	defer telemetry.SetActive(prev)
 
@@ -420,7 +424,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprintf(out, "looppartd: served %d requests (%d searches, %d cache hits), bye\n",
 			st.Requests, st.Searches, st.CacheHits)
 	}
-	return obsFlags.Flush(reg)
+	return obsFlags.Flush(reg, recorder.Records()...)
 }
 
 // resolvePeers expands the -peers list into member names. A spec is a

@@ -91,8 +91,11 @@ func TestDaemonServesAndShutsDownCleanly(t *testing.T) {
 	}
 	metrics, _ := io.ReadAll(m.Body)
 	m.Body.Close()
-	if !strings.Contains(string(metrics), "plancache_hits 1") {
+	if !strings.Contains(string(metrics), "\nplancache_hits_total 1\n") {
 		t.Errorf("metrics lack the cache-hit counter:\n%s", metrics)
+	}
+	if strings.Contains(string(metrics), "\nplancache_hits ") {
+		t.Errorf("metrics still carry the bare-name counter alias:\n%s", metrics)
 	}
 
 	out, err := stop()
@@ -125,6 +128,12 @@ func TestDaemonWritesObservabilityFilesOnShutdown(t *testing.T) {
 	trace, err := os.ReadFile(tracePath)
 	if err != nil || !bytes.HasPrefix(bytes.TrimSpace(trace), []byte("[")) {
 		t.Errorf("trace file: %v %q", err, trace)
+	}
+	// The trace holds the flight recorder's request tree.
+	for _, span := range []string{"server.plan", "parse", "cache.lookup", "search"} {
+		if !bytes.Contains(trace, []byte(`"name":"`+span+`","ph":"X"`)) {
+			t.Errorf("trace lacks the request's %s span: %s", span, trace)
+		}
 	}
 	var snap struct {
 		Counters map[string]int64 `json:"counters"`

@@ -23,6 +23,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -78,10 +79,11 @@ func run(args []string, out io.Writer) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("expected one program file, example name, or - for stdin")
 	}
-	reg, err := obs.Setup()
+	reg, err := obs.Setup("loopsim")
 	if err != nil {
 		return err
 	}
+	defer obs.Close()
 	prev := telemetry.SetActive(reg)
 	defer telemetry.SetActive(prev)
 	var src string
@@ -138,7 +140,7 @@ func run(args []string, out io.Writer) error {
 			if err != nil {
 				continue
 			}
-			comm, err := plan.CommSets(commsets.Options{Materialize: true})
+			comm, err := plan.CommSetsCtx(context.Background(), commsets.Options{Materialize: true})
 			if err != nil {
 				fmt.Fprintf(out, "\ncommunication sets (%s): %v\n", s, err)
 				continue

@@ -89,10 +89,11 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	reg, err := obs.Setup()
+	reg, err := obs.Setup("looptune")
 	if err != nil {
 		return err
 	}
+	defer obs.Close()
 	prev := telemetry.SetActive(reg)
 	defer telemetry.SetActive(prev)
 
@@ -118,7 +119,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	res, err := autotune.RunTournament(prog.Analysis, autotune.TournamentOptions{
+	res, err := autotune.RunTournament(context.Background(), prog.Analysis, autotune.TournamentOptions{
 		Procs:       *procs,
 		Strategy:    *strategy,
 		K:           *k,
@@ -161,6 +162,7 @@ func run(args []string, out io.Writer) error {
 			Fingerprint:        fp,
 			AutotuneCacheLines: *cacheLines,
 		})
+		reg.Collect(svc.Collect)
 		resp, err := svc.Plan(context.Background(), looppart.PlanRequest{
 			Source:   src,
 			Params:   params,

@@ -51,10 +51,11 @@ func run(args []string, in io.Reader, out io.Writer) (int, error) {
 		return 2, err
 	}
 
-	reg, err := obs.Setup()
+	reg, err := obs.Setup("paperbench")
 	if err != nil {
 		return 2, err
 	}
+	defer obs.Close()
 
 	var ids []string
 	switch {

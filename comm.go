@@ -8,17 +8,12 @@ import (
 	"looppart/internal/tile"
 )
 
-// CommSets computes the plan's exact per-tile communication sets: for
+// CommSetsCtx computes the plan's exact per-tile communication sets: for
 // every uniformly intersecting reference class, which elements each
 // processor produces that other processors consume, with exact counts
-// (internal/commsets). Materialize in opts to also get the element
-// lists (needed to drive the message-passing executor).
-func (p *Plan) CommSets(opts commsets.Options) (*commsets.Analysis, error) {
-	return p.CommSetsCtx(context.Background(), opts)
-}
-
-// CommSetsCtx is CommSets with request-scoped tracing: when ctx carries
-// an obs.Trace, the analysis records a "commsets.analyze" span.
+// (internal/commsets), under a "commsets.analyze" span in ctx.
+// Materialize in opts to also get the element lists (needed to drive the
+// message-passing executor).
 func (p *Plan) CommSetsCtx(ctx context.Context, opts commsets.Options) (*commsets.Analysis, error) {
 	if !p.Concrete() {
 		return nil, p.errSymbolicPlan()
@@ -30,10 +25,10 @@ func (p *Plan) CommSetsCtx(ctx context.Context, opts commsets.Options) (*commset
 		Tile:     p.Tile,
 		Assign:   p.assign,
 	}
-	return commsets.ComputeCtx(ctx, spec, opts)
+	return commsets.Compute(ctx, spec, opts)
 }
 
-// CommSummary is the compact digest of CommSets that the planning
+// CommSummary is the compact digest of CommSetsCtx that the planning
 // service attaches to PlanResult when communication certification is
 // enabled.
 func (p *Plan) CommSummary(ctx context.Context) (*commsets.Summary, error) {
@@ -47,11 +42,11 @@ func (p *Plan) CommSummary(ctx context.Context) (*commsets.Summary, error) {
 // ExecuteMessagePassing runs the plan under the explicit
 // message-passing executor (internal/msgexec): private per-processor
 // stores, bulk-synchronous epochs, and exchanges that move exactly the
-// transfer sets CommSets predicts. The report carries the measured word
+// transfer sets CommSetsCtx predicts. The report carries the measured word
 // count (Run errors if it disagrees with the prediction) and whether
 // the final state was verified against the sequential execution.
 func (p *Plan) ExecuteMessagePassing() (*msgexec.Report, error) {
-	comm, err := p.CommSets(commsets.Options{Materialize: true})
+	comm, err := p.CommSetsCtx(context.Background(), commsets.Options{Materialize: true})
 	if err != nil {
 		return nil, err
 	}

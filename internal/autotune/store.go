@@ -47,10 +47,10 @@ type Store struct {
 // storeEntry is the on-disk envelope. Sum covers the value bytes so a
 // partially corrupted file cannot be served as a plan.
 type storeEntry struct {
-	Schema      int         `json:"schema"`
-	Fingerprint Fingerprint `json:"fingerprint"`
-	Key         string      `json:"key"`
-	Sum         string      `json:"sum"`
+	Schema      int             `json:"schema"`
+	Fingerprint Fingerprint     `json:"fingerprint"`
+	Key         string          `json:"key"`
+	Sum         string          `json:"sum"`
 	Value       json.RawMessage `json:"value"`
 }
 
@@ -119,7 +119,6 @@ func (s *Store) Put(key string, val []byte) error {
 	s.mu.Lock()
 	s.puts++
 	s.mu.Unlock()
-	telemetry.Active().Counter("autotune.store.puts").Add(1)
 	return nil
 }
 
@@ -135,7 +134,6 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		s.mu.Lock()
 		s.getHits++
 		s.mu.Unlock()
-		telemetry.Active().Counter("autotune.store.hits").Add(1)
 	}
 	return val, ok
 }
@@ -178,7 +176,6 @@ func (s *Store) quarantine(name, reason string) {
 	s.mu.Lock()
 	s.quarantined++
 	s.mu.Unlock()
-	telemetry.Active().Counter("autotune.store.quarantined").Add(1)
 	telemetry.Active().Emit("autotune.store.quarantine", name, map[string]any{"reason": reason})
 }
 
@@ -244,4 +241,17 @@ func (s *Store) Stats() StoreStats {
 		GetHits:     s.getHits,
 		Quarantined: s.quarantined,
 	}
+}
+
+// Collect writes the store's counters and entry count into snap, for a
+// telemetry registry to read at snapshot time (Registry.Collect). The
+// entry count scans the directory, so it costs one scan per snapshot.
+func (s *Store) Collect(snap telemetry.Snapshot) {
+	st := s.Stats()
+	snap.Counters["autotune.store.puts"] = st.Puts
+	snap.Counters["autotune.store.hits"] = st.GetHits
+	snap.Counters["autotune.store.quarantined"] = st.Quarantined
+	snap.Gauges["autotune.store.entries"] = float64(st.Entries)
+	snap.Gauges["autotune.store.get_hits"] = float64(st.GetHits)
+	snap.Gauges["autotune.store.quarantined_entries"] = float64(st.Quarantined)
 }

@@ -156,15 +156,10 @@ func (r *Result) Report() string {
 // so the winner's measured miss count is ≤ the analytic plan's by
 // construction, and autotuning can only confirm or improve, never
 // regress.
-func RunTournament(a *footprint.Analysis, opts TournamentOptions) (*Result, error) {
-	return RunTournamentCtx(context.Background(), a, opts)
-}
-
-// RunTournamentCtx is RunTournament with request-scoped tracing: when ctx
-// carries an obs.Trace, the measured replays run under a "tournament" span
-// recording the candidate count, winner rank, and measured misses, and the
-// underlying top-K analytic search contributes its own search spans.
-func RunTournamentCtx(ctx context.Context, a *footprint.Analysis, opts TournamentOptions) (*Result, error) {
+//
+// The measured replays run under a "tournament" span in ctx recording
+// the candidate count, winner rank, and measured misses.
+func RunTournament(ctx context.Context, a *footprint.Analysis, opts TournamentOptions) (*Result, error) {
 	if opts.Procs <= 0 {
 		return nil, fmt.Errorf("autotune: need at least one processor")
 	}
@@ -181,7 +176,7 @@ func RunTournamentCtx(ctx context.Context, a *footprint.Analysis, opts Tournamen
 	if fp.Schema == 0 {
 		fp = ModelFingerprint()
 	}
-	_, osp := obs.StartSpan(ctx, "tournament")
+	ctx, osp := obs.StartSpan(ctx, "tournament")
 	defer osp.End()
 	osp.SetAttr("strategy", opts.Strategy)
 	osp.SetAttr("k", opts.K)
@@ -211,9 +206,6 @@ func RunTournamentCtx(ctx context.Context, a *footprint.Analysis, opts Tournamen
 	}
 
 	reg := telemetry.Active()
-	sp := reg.StartSpan("autotune.tournament")
-	defer sp.End()
-
 	res := &Result{Fingerprint: fp, Strategy: opts.Strategy, Procs: opts.Procs, CacheLines: opts.CacheLines}
 	if opts.Strategy == "rect" || opts.Strategy == "lowerbound" {
 		// Both strategies contest only rectangular-grid tiles — the family
@@ -277,7 +269,7 @@ func RunTournamentCtx(ctx context.Context, a *footprint.Analysis, opts Tournamen
 		// Exact communication words per epoch, the second cost axis.
 		// Best-effort: a candidate whose comm sets cannot be computed
 		// still contests on misses.
-		if comm, err := commsets.Compute(commsets.Spec{
+		if comm, err := commsets.Compute(ctx, commsets.Spec{
 			Analysis: a, Space: space, Procs: opts.Procs, Tile: &tl, Assign: assign,
 		}, commsets.Options{}); err == nil {
 			c.CommWords = comm.TotalWords

@@ -161,7 +161,6 @@ func (c *Client) Fill(ctx context.Context, key string, reqBody []byte) ([]byte, 
 	br := c.breakers[owner]
 	if br == nil || !br.Allow() {
 		c.breakerSkips.Add(1)
-		telemetry.Active().Counter("cluster.peer_fill.breaker_open").Add(1)
 		sp.SetAttr("outcome", "breaker_open")
 		return nil, false
 	}
@@ -171,14 +170,12 @@ func (c *Client) Fill(ctx context.Context, key string, reqBody []byte) ([]byte, 
 	if err != nil {
 		br.Failure()
 		c.fillFailures.Add(1)
-		telemetry.Active().Counter("cluster.peer_fill.failures").Add(1)
 		sp.SetAttr("outcome", "error")
 		sp.SetAttr("error", err.Error())
 		return nil, false
 	}
 	br.Success()
 	c.fills.Add(1)
-	telemetry.Active().Counter("cluster.peer_fill.hits").Add(1)
 	sp.SetAttr("outcome", "filled")
 	sp.SetAttr("bytes", len(raw))
 	return raw, true
@@ -227,7 +224,6 @@ func (c *Client) hedgedFetch(ctx context.Context, owner string, reqBody []byte, 
 		case <-hedgeTimer:
 			hedgeTimer = nil
 			c.hedges.Add(1)
-			telemetry.Active().Counter("cluster.peer_fill.hedges").Add(1)
 			outstanding++
 			go attempt()
 		case <-ctx.Done():
@@ -317,6 +313,31 @@ func (c *Client) Stats() Stats {
 	}
 	sort.Slice(st.Breakers, func(i, j int) bool { return st.Breakers[i].Peer < st.Breakers[j].Peer })
 	return st
+}
+
+// Collect writes the client's fill counters, ring ownership per member,
+// and breaker positions (0 closed, 1 half-open, 2 open) into snap, for a
+// telemetry registry to read at snapshot time (Registry.Collect).
+func (c *Client) Collect(snap telemetry.Snapshot) {
+	st := c.Stats()
+	cnt, g := snap.Counters, snap.Gauges
+	cnt["cluster.peer_fill.hits"] = st.Fills
+	cnt["cluster.peer_fill.failures"] = st.FillFailures
+	cnt["cluster.peer_fill.breaker_open"] = st.BreakerSkips
+	cnt["cluster.peer_fill.hedges"] = st.Hedges
+	g["cluster.ring.members"] = float64(st.Members)
+	g["cluster.ring.self_fraction"] = st.SelfFraction
+	for _, m := range c.ring.Members() {
+		g["cluster.ring.owned_fraction."+m] = c.ring.OwnedFraction(m)
+	}
+	g["cluster.peer_fill.fills"] = float64(st.Fills)
+	g["cluster.peer_fill.fill_failures"] = float64(st.FillFailures)
+	g["cluster.peer_fill.self_owned"] = float64(st.SelfOwned)
+	g["cluster.peer_fill.breaker_skips"] = float64(st.BreakerSkips)
+	g["cluster.peer_fill.hedged"] = float64(st.Hedges)
+	for _, b := range st.Breakers {
+		g["cluster.breaker."+b.Peer] = float64(b.Code)
+	}
 }
 
 // MemberName canonicalizes a replica spec to its member name: a base

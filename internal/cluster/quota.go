@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"looppart/internal/telemetry"
 )
 
 // AnonTenant is the bucket requests without an X-Tenant header share.
@@ -144,4 +146,13 @@ func (q *Quotas) Stats() QuotaStats {
 		Allowed:  q.allowed.Load(),
 		Rejected: q.rejected.Load(),
 	}
+}
+
+// Collect writes the limiter's tenant count and decisions into snap, for
+// a telemetry registry to read at snapshot time (Registry.Collect).
+func (q *Quotas) Collect(snap telemetry.Snapshot) {
+	st := q.Stats()
+	snap.Gauges["cluster.quota.tenants"] = float64(st.Tenants)
+	snap.Gauges["cluster.quota.allowed"] = float64(st.Allowed)
+	snap.Gauges["cluster.quota.rejected"] = float64(st.Rejected)
 }

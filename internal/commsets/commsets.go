@@ -88,9 +88,9 @@ type Elem struct {
 // distinct elements processor From writes per epoch that processor To
 // reads. Elems carries the elements themselves when materialized.
 type Transfer struct {
-	From  int   `json:"from"`
-	To    int   `json:"to"`
-	Words int64 `json:"words"`
+	From  int    `json:"from"`
+	To    int    `json:"to"`
+	Words int64  `json:"words"`
 	Elems []Elem `json:"-"`
 }
 
@@ -176,14 +176,9 @@ func (a *Analysis) CanCheckValues() bool {
 	return a.UniqueWrite && !a.CrossClassHazard && !a.BackwardRAW
 }
 
-// Compute builds the communication sets for a plan.
-func Compute(spec Spec, opts Options) (*Analysis, error) {
-	return ComputeCtx(context.Background(), spec, opts)
-}
-
-// ComputeCtx is Compute with request-scoped tracing: when ctx carries an
-// obs.Trace, the computation records a "commsets.analyze" span.
-func ComputeCtx(ctx context.Context, spec Spec, opts Options) (*Analysis, error) {
+// Compute builds the communication sets for a plan under a
+// "commsets.analyze" span in ctx.
+func Compute(ctx context.Context, spec Spec, opts Options) (*Analysis, error) {
 	_, sp := obs.StartSpan(ctx, "commsets.analyze")
 	defer sp.End()
 

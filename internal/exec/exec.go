@@ -10,6 +10,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -18,6 +19,7 @@ import (
 
 	"looppart/internal/layout"
 	"looppart/internal/loopir"
+	"looppart/internal/obs"
 	"looppart/internal/telemetry"
 )
 
@@ -397,8 +399,10 @@ func RunParallel(n *loopir.Nest, st Store, procs int, assign func(p []int64) int
 	epoch := 0
 	runEpoch := func(extra map[string]int64) {
 		var wg sync.WaitGroup
-		epochSpan := reg.StartSpan("exec.epoch")
-		epochSpan.SetArg("epoch", epoch)
+		// Executor spans open under the process trace (a CLI's -trace);
+		// each tile renders on its processor's track.
+		ectx, epochSpan := obs.StartSpan(context.Background(), "exec.epoch")
+		epochSpan.SetAttr("epoch", epoch)
 		epochStart := time.Now()
 		var tileDur []time.Duration
 		if reg != nil {
@@ -408,9 +412,10 @@ func RunParallel(n *loopir.Nest, st Store, procs int, assign func(p []int64) int
 			wg.Add(1)
 			go func(proc int, items []map[string]int64) {
 				defer wg.Done()
-				sp := reg.StartSpanProc("exec.tile", proc)
-				sp.SetArg("epoch", epoch)
-				sp.SetArg("iters", len(items))
+				_, sp := obs.StartSpan(ectx, "exec.tile")
+				sp.SetAttr("proc", proc)
+				sp.SetAttr("epoch", epoch)
+				sp.SetAttr("iters", len(items))
 				start := time.Now()
 				for _, env := range items {
 					full := env

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"looppart/internal/loopir"
+	"looppart/internal/obs"
 	"looppart/internal/paperex"
 	"looppart/internal/telemetry"
 )
@@ -153,6 +154,9 @@ func TestRunParallelTelemetryMetrics(t *testing.T) {
 	reg := telemetry.New()
 	prev := telemetry.SetActive(reg)
 	defer telemetry.SetActive(prev)
+	proc := obs.NewTrace("test", "test", reg)
+	prevProc := obs.SetProcess(proc)
+	defer obs.SetProcess(prevProc)
 
 	// A doseq-wrapped doall whose body writes only its own A element and
 	// reads only B: race-free, so the telemetry counters are the only
@@ -200,17 +204,27 @@ enddoseq
 	if h := snap.Histograms["exec.tile_wall_ns"]; h.Count != 2*procs {
 		t.Errorf("tile wall observations = %d, want %d", h.Count, 2*procs)
 	}
-	spans := reg.Spans()
+	// Executor spans land in the process trace: each epoch with one
+	// tile per processor beneath it, the tile tagged with its processor.
 	var tiles, epochs int
-	for _, sp := range spans {
+	seen := map[int]bool{}
+	proc.Root().Snapshot().Walk(func(sp *obs.SpanSnapshot) {
 		switch sp.Name {
 		case "exec.tile":
 			tiles++
+			p, _ := sp.Attrs["proc"].(int)
+			seen[p] = true
 		case "exec.epoch":
 			epochs++
+			if len(sp.Children) != procs {
+				t.Errorf("epoch has %d tile spans, want %d", len(sp.Children), procs)
+			}
 		}
+	})
+	if tiles != 2*procs || epochs != 2 || len(seen) != procs {
+		t.Errorf("spans: tiles=%d epochs=%d procs=%d, want %d, 2, %d", tiles, epochs, len(seen), 2*procs, procs)
 	}
-	if tiles != 2*procs || epochs != 2 {
-		t.Errorf("spans: tiles=%d epochs=%d, want %d and 2", tiles, epochs, 2*procs)
+	if h := snap.Histograms["exec.tile.latency"]; h.Count != 2*procs {
+		t.Errorf("exec.tile.latency count = %d, want %d", h.Count, 2*procs)
 	}
 }

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"looppart/internal/footprint"
 	"looppart/internal/intmat"
 	"looppart/internal/lattice"
+	"looppart/internal/obs"
 	"looppart/internal/paperex"
 	"looppart/internal/partition"
 	"looppart/internal/telemetry"
@@ -90,10 +92,10 @@ func All() []Result {
 
 // RunAll runs the selected experiments (nil or empty ids = all). When reg
 // is non-nil it is installed as the active telemetry registry for the
-// duration (restoring the previous one afterwards); each experiment then
-// runs inside an experiment.<ID> span and carries the per-experiment
-// snapshot delta in Result.Telemetry. Unknown ids produce an error listing
-// the known IDs.
+// duration (restoring the previous one afterwards), and each experiment
+// carries its per-experiment snapshot delta in Result.Telemetry. Each
+// experiment runs inside an experiment.<ID> span under the process trace
+// (a CLI's -trace). Unknown ids produce an error listing the known IDs.
 func RunAll(ids []string, reg *telemetry.Registry) ([]Result, error) {
 	selected := Catalog
 	if len(ids) > 0 {
@@ -118,22 +120,18 @@ func RunAll(ids []string, reg *telemetry.Registry) ([]Result, error) {
 	}
 	results := make([]Result, 0, len(selected))
 	for _, e := range selected {
-		if reg == nil {
-			results = append(results, e.Run())
-			continue
-		}
-		before := reg.Snapshot()
-		eventsBefore, spansBefore := len(reg.Events()), len(reg.Spans())
-		sp := reg.StartSpan("experiment." + e.ID)
+		before, eventsBefore := reg.Snapshot(), len(reg.Events())
+		_, sp := obs.StartSpan(context.Background(), "experiment."+e.ID)
 		r := e.Run()
 		sp.End()
-		delta := reg.Snapshot().Delta(before)
-		delta.Counters["telemetry.events"] = int64(len(reg.Events()) - eventsBefore)
-		delta.Counters["telemetry.spans"] = int64(len(reg.Spans()) - spansBefore)
-		r.Telemetry = &delta
-		reg.Counter("experiments.run").Add(1)
-		if r.Pass {
-			reg.Counter("experiments.pass").Add(1)
+		if reg != nil {
+			delta := reg.Snapshot().Delta(before)
+			delta.Counters["telemetry.events"] = int64(len(reg.Events()) - eventsBefore)
+			r.Telemetry = &delta
+			reg.Counter("experiments.run").Add(1)
+			if r.Pass {
+				reg.Counter("experiments.pass").Add(1)
+			}
 		}
 		results = append(results, r)
 	}
@@ -738,7 +736,7 @@ enddoall`
 	if err != nil {
 		return errResult(id, title, claim, err)
 	}
-	ours, err := partition.OptimizeRect(prog.Analysis, 8)
+	ours, err := partition.OptimizeRect(context.Background(), prog.Analysis, 8)
 	if err != nil {
 		return errResult(id, title, claim, err)
 	}
@@ -755,7 +753,7 @@ enddoall`
 		return errResult(id, title, claim, err)
 	}
 	_, errAH := partition.AbrahamHudak(prog6.Analysis, 10)
-	_, errOurs := partition.OptimizeRect(prog6.Analysis, 10)
+	_, errOurs := partition.OptimizeRect(context.Background(), prog6.Analysis, 10)
 	return Result{
 		ID: id, Title: title, Paper: claim,
 		Rows: []Row{

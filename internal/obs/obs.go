@@ -1,7 +1,8 @@
-// Package obs is the request-scoped observability layer of the planning
-// service: where internal/telemetry aggregates process-global counters
-// and histograms, obs answers the question "what happened to *this*
-// request" — the question a process-global registry structurally cannot.
+// Package obs is the span layer: every timed stage, in the planning
+// service and the CLIs alike, is a Span in a Trace's tree, and ending a
+// span records its duration in the trace's telemetry registry as the
+// histogram "<span>.latency". Where the registry aggregates, a trace
+// answers the question "what happened to *this* request".
 //
 // Each served request carries a Trace (identified by a trace ID accepted
 // from the client or generated) through its context. Pipeline stages open
@@ -12,22 +13,27 @@
 // flight-recorder Record (recorder.go), matched against the route's
 // latency SLO (slo.go), and logged as one structured JSON line keyed by
 // the trace ID (log.go) — so a slow request can be reconstructed
-// end-to-end from observability output alone.
+// end-to-end from observability output alone. Library calls without a
+// context open their spans under the process trace (SetProcess) that a
+// CLI's -trace installs; WriteChromeTrace renders records as one Chrome
+// trace-event file.
 //
 // Everything is nil-safe in the telemetry idiom: code instrumented with
-// StartSpan pays one context lookup when no trace is installed, so the
-// embedded Service and the CLIs run untraced at full speed.
+// StartSpan pays one context lookup and one atomic load when no trace is
+// installed, so the embedded Service and the CLIs run untraced at full
+// speed.
 package obs
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"looppart/internal/telemetry"
 )
 
-// Bounds in the SetRecordCaps idiom: a trace that lives as long as one
+// Bounds in the telemetry event-cap idiom: a trace that lives as long as one
 // request still must not grow without limit when a pathological request
 // fans out (a 256-item batch opens spans per item), so spans per trace
 // and attributes per span are capped, with drops counted and surfaced on
@@ -45,6 +51,7 @@ const (
 type Trace struct {
 	id    string
 	start time.Time
+	reg   *telemetry.Registry // receives ended spans' latencies; may be nil
 
 	maxSpans int32
 	maxAttrs int32
@@ -57,15 +64,17 @@ type Trace struct {
 }
 
 // NewTrace starts a trace identified by id (NewID() when empty) whose
-// root span is named rootName. Caps default to DefaultMaxSpans /
-// DefaultMaxAttrs; SetCaps overrides them before spans are added.
-func NewTrace(id, rootName string) *Trace {
+// root span is named rootName; its spans end into reg (which may be
+// nil). Caps default to DefaultMaxSpans / DefaultMaxAttrs; SetCaps
+// overrides them before spans are added.
+func NewTrace(id, rootName string, reg *telemetry.Registry) *Trace {
 	if id == "" {
 		id = NewID()
 	}
 	tr := &Trace{
 		id:       id,
 		start:    time.Now(),
+		reg:      reg,
 		maxSpans: DefaultMaxSpans,
 		maxAttrs: DefaultMaxAttrs,
 	}
@@ -94,6 +103,14 @@ func (t *Trace) ID() string {
 		return ""
 	}
 	return t.id
+}
+
+// Start returns the wall-clock time span offsets are relative to.
+func (t *Trace) Start() time.Time {
+	if t == nil {
+		return time.Time{}
+	}
+	return t.start
 }
 
 // Root returns the root span (nil on nil).
@@ -181,18 +198,23 @@ func (s *Span) Attr(key string) any {
 	return s.attrs[key]
 }
 
-// End closes the span, fixing its duration. Idempotent; no-op on nil.
+// End closes the span, fixing its duration, and records the duration in
+// the trace's registry as "<name>.latency". Idempotent; no-op on nil.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
 	now := s.tr.since()
 	s.mu.Lock()
-	if !s.ended {
+	first := !s.ended
+	if first {
 		s.ended = true
 		s.dur = now - s.start
 	}
 	s.mu.Unlock()
+	if first {
+		s.tr.reg.Latency(s.name).Observe(now - s.start)
+	}
 }
 
 // SpanSnapshot is the immutable, JSON-encodable copy of a span subtree
@@ -267,17 +289,6 @@ func (s *SpanSnapshot) Walk(fn func(*SpanSnapshot)) {
 	}
 }
 
-// AttrKeys returns the snapshot's attribute names sorted, for
-// deterministic rendering.
-func (s *SpanSnapshot) AttrKeys() []string {
-	keys := make([]string, 0, len(s.Attrs))
-	for k := range s.Attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Context plumbing. Two keys: the trace (stable for the request) and the
 // current span (rebound by every StartSpan so children nest correctly).
 type traceKey struct{}
@@ -308,14 +319,27 @@ func SpanFrom(ctx context.Context) *Span {
 	return sp
 }
 
-// StartSpan opens a child of the context's current span and returns a
-// context with the child current. When the context carries no trace the
-// original context and a nil (no-op) span come back, so instrumented
-// code needs no enabled-check.
+// process is the trace ctx-less library calls open their spans under;
+// nil (the default) leaves them untraced.
+var process atomic.Pointer[Trace]
+
+// SetProcess installs tr as the process trace (nil removes it) and
+// returns the previous one so callers can restore it. A CLI installs one
+// for -trace; a serving process leaves it unset, since its requests
+// carry their own traces.
+func SetProcess(tr *Trace) *Trace { return process.Swap(tr) }
+
+// StartSpan opens a child of the context's current span — or, when the
+// context carries none, of the process trace's root — and returns a
+// context with the child current. With neither, the original context and
+// a nil (no-op) span come back, so instrumented code needs no
+// enabled-check.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	parent := SpanFrom(ctx)
 	if parent == nil {
-		return ctx, nil
+		if parent = process.Load().Root(); parent == nil {
+			return ctx, nil
+		}
 	}
 	child := parent.StartChild(name)
 	if child == nil {

@@ -10,7 +10,7 @@ import (
 )
 
 func TestTraceSpanTree(t *testing.T) {
-	tr := NewTrace("", "server.plan")
+	tr := NewTrace("", "server.plan", nil)
 	if tr.ID() == "" {
 		t.Fatal("empty generated trace ID")
 	}
@@ -81,7 +81,7 @@ func TestStartSpanWithoutTraceIsNoop(t *testing.T) {
 }
 
 func TestTraceCapsDropAndCount(t *testing.T) {
-	tr := NewTrace("capped", "root")
+	tr := NewTrace("capped", "root", nil)
 	tr.SetCaps(4, 2) // root + 3 children; 2 attrs per span
 
 	root := tr.Root()
@@ -108,7 +108,7 @@ func TestTraceCapsDropAndCount(t *testing.T) {
 }
 
 func TestRunningSpanSnapshot(t *testing.T) {
-	tr := NewTrace("", "root")
+	tr := NewTrace("", "root", nil)
 	sp := tr.Root().StartChild("detached.search")
 	time.Sleep(time.Millisecond)
 	snap := tr.Root().Snapshot().Find("detached.search")
@@ -126,7 +126,7 @@ func TestRunningSpanSnapshot(t *testing.T) {
 }
 
 func TestConcurrentSpansOneTrace(t *testing.T) {
-	tr := NewTrace("", "root")
+	tr := NewTrace("", "root", nil)
 	tr.SetCaps(4096, 0)
 	ctx := WithTrace(context.Background(), tr)
 	var wg sync.WaitGroup

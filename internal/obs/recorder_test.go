@@ -48,7 +48,7 @@ func TestRecorderBurstHoldsMemoryFlat(t *testing.T) {
 
 	burst := func(n int, start int) {
 		for i := 0; i < n; i++ {
-			tr := NewTrace("", "server.plan")
+			tr := NewTrace("", "server.plan", nil)
 			tr.SetCaps(8, 4)
 			_, sp := StartSpan(WithTrace(context.Background(), tr), "cache.lookup")
 			sp.SetAttr("outcome", "hit")

@@ -101,7 +101,7 @@ func closedFormRect(ctx context.Context, a *footprint.Analysis, ev *footprint.Ev
 	best.PredictedTraffic = tr
 	parent.SetAttr("grid", fmt.Sprint(best.Grid))
 	parent.SetAttr("footprint", best.PredictedFootprint)
-	if reg != nil {
+	if reg.Recording() {
 		fields := chosenFields(a, best)
 		fields["evaluated"] = evaluated
 		fields["pruned"] = pruned
@@ -271,7 +271,7 @@ func certifySweep(ev *footprint.Evaluator, grids [][]int64, sizes []int64,
 			bound = fp
 		}
 		cand := RectPlan{Grid: grid, Ext: cur, PredictedFootprint: fp, Exactness: ex}
-		if reg != nil {
+		if reg.Recording() {
 			reg.Emit("partition.rect.candidate", fmt.Sprintf("grid=%v", grid), map[string]any{
 				"grid":      fmt.Sprint(cand.Grid),
 				"ext":       fmt.Sprint(cand.Ext),

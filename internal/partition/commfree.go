@@ -151,7 +151,7 @@ func FindCommFree(a *footprint.Analysis, procs int, includeReadOnly bool) (SlabP
 	reg := telemetry.Active()
 	normals := CommFreeNormals(a, includeReadOnly)
 	if len(normals) == 0 {
-		if reg != nil {
+		if reg.Recording() {
 			reg.Emit("partition.commfree.none", "no conflict-orthogonal normal", nil)
 		}
 		return SlabPlan{}, false
@@ -164,7 +164,7 @@ func FindCommFree(a *footprint.Analysis, procs int, includeReadOnly bool) (SlabP
 	for _, h := range normals {
 		lo, hi := hyperplaneRange(h, space.Lo, space.Hi)
 		levels := hi - lo + 1
-		if reg != nil {
+		if reg.Recording() {
 			reg.Emit("partition.commfree.candidate", fmt.Sprintf("normal=%v", h), map[string]any{
 				"normal":   fmt.Sprint(h),
 				"levels":   levels,
@@ -181,7 +181,7 @@ func FindCommFree(a *footprint.Analysis, procs int, includeReadOnly bool) (SlabP
 			found = true
 		}
 	}
-	if found && reg != nil {
+	if found && reg.Recording() {
 		reg.Emit("partition.commfree.chosen", fmt.Sprintf("normal=%v", best.Normal), map[string]any{
 			"normal": fmt.Sprint(best.Normal),
 			"width":  best.Width,

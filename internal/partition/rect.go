@@ -103,16 +103,11 @@ func ContinuousRatiosData(a *footprint.Analysis) (coeffs []float64, ok bool) {
 // model terms memoized once (footprint.Evaluator) and dominated grids
 // pruned by the admissible volume bound; the chosen plan is bit-identical
 // to a sequential scan.
-func OptimizeRect(a *footprint.Analysis, procs int) (RectPlan, error) {
-	return OptimizeRectCtx(context.Background(), a, procs)
-}
-
-// OptimizeRectCtx is OptimizeRect with request-scoped tracing: when ctx
-// carries an obs.Trace, the search runs under a "search.rect" span whose
-// attributes record the candidate grid count and the evaluated / pruned /
-// infeasible split, plus the winning grid. Without a trace it behaves
-// exactly like OptimizeRect.
-func OptimizeRectCtx(ctx context.Context, a *footprint.Analysis, procs int) (RectPlan, error) {
+//
+// The search runs under a "search.rect" span in ctx whose attributes
+// record the candidate grid count and the evaluated / pruned /
+// infeasible split, plus the winning grid.
+func OptimizeRect(ctx context.Context, a *footprint.Analysis, procs int) (RectPlan, error) {
 	_, sp := obs.StartSpan(ctx, "search.rect")
 	defer sp.End()
 	space := tile.BoundsOf(a.Nest)
@@ -190,7 +185,7 @@ func OptimizeRectCtx(ctx context.Context, a *footprint.Analysis, procs int) (Rec
 			continue
 		}
 		cand := RectPlan{Grid: grids[i], Ext: c.ext, PredictedFootprint: c.fp, Exactness: c.ex}
-		if reg != nil {
+		if reg.Recording() {
 			reg.Emit("partition.rect.candidate", fmt.Sprintf("grid=%v", cand.Grid), map[string]any{
 				"grid":      fmt.Sprint(cand.Grid),
 				"ext":       fmt.Sprint(cand.Ext),
@@ -211,7 +206,7 @@ func OptimizeRectCtx(ctx context.Context, a *footprint.Analysis, procs int) (Rec
 	best.PredictedTraffic = tr
 	sp.SetAttr("grid", fmt.Sprint(best.Grid))
 	sp.SetAttr("footprint", best.PredictedFootprint)
-	if reg != nil {
+	if reg.Recording() {
 		fields := chosenFields(a, best)
 		fields["evaluated"] = evaluated.Load()
 		fields["pruned"] = pruned.Load()

@@ -140,15 +140,10 @@ func abs64(v int64) int64 {
 // entries (2 or 3 covers the paper's examples). Candidates are scored on
 // the engine's worker pool; the plan is bit-identical to a sequential
 // scan regardless of pool size.
-func OptimizeSkew(a *footprint.Analysis, procs int, maxSkew int64) (SkewPlan, error) {
-	return OptimizeSkewCtx(context.Background(), a, procs, maxSkew)
-}
-
-// OptimizeSkewCtx is OptimizeSkew with request-scoped tracing: when ctx
-// carries an obs.Trace, the search runs under a "search.skewed" span
-// recording the candidate count, the evaluated/pruned split, and the
-// winning tile. Without a trace it behaves exactly like OptimizeSkew.
-func OptimizeSkewCtx(ctx context.Context, a *footprint.Analysis, procs int, maxSkew int64) (SkewPlan, error) {
+//
+// The search runs under a "search.skewed" span in ctx recording the
+// candidate count, the evaluated/pruned split, and the winning tile.
+func OptimizeSkew(ctx context.Context, a *footprint.Analysis, procs int, maxSkew int64) (SkewPlan, error) {
 	_, sp := obs.StartSpan(ctx, "search.skewed")
 	defer sp.End()
 	space := tile.BoundsOf(a.Nest)
@@ -269,7 +264,7 @@ func OptimizeSkewCtx(ctx context.Context, a *footprint.Analysis, procs int, maxS
 			// The decision trace records only the improvements (the chain
 			// of running minima), not every candidate; pruned candidates
 			// never appear — they cannot improve on the bound.
-			if reg != nil {
+			if reg.Recording() {
 				reg.Emit("partition.skew.improved", t.String(), map[string]any{
 					"footprint": c.fp,
 					"exactness": c.ex.String(),
@@ -284,7 +279,7 @@ func OptimizeSkewCtx(ctx context.Context, a *footprint.Analysis, procs int, maxS
 	best.RectBaseline = bestRect
 	sp.SetAttr("tile", best.Tile.String())
 	sp.SetAttr("footprint", best.PredictedFootprint)
-	if reg != nil {
+	if reg.Recording() {
 		// candidates reports this run's evaluations, not the cumulative
 		// process-wide counter (which spans successive optimizer runs).
 		reg.Emit("partition.skew.chosen", best.Tile.String(), map[string]any{

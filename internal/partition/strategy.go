@@ -105,7 +105,7 @@ type rectFamily struct{}
 func (rectFamily) Name() string { return "rect" }
 
 func (rectFamily) Optimize(ctx context.Context, a *footprint.Analysis, procs int) (*FamilyPlan, error) {
-	rp, err := OptimizeRectCtx(ctx, a, procs)
+	rp, err := OptimizeRect(ctx, a, procs)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +146,7 @@ const defaultMaxSkew = 3
 func (skewFamily) Name() string { return "skewed" }
 
 func (skewFamily) Optimize(ctx context.Context, a *footprint.Analysis, procs int) (*FamilyPlan, error) {
-	sp, err := OptimizeSkewCtx(ctx, a, procs, defaultMaxSkew)
+	sp, err := OptimizeSkew(ctx, a, procs, defaultMaxSkew)
 	if err != nil {
 		return nil, err
 	}

@@ -128,7 +128,6 @@ func (h *HotTier) Rebuild(c *Cache) {
 	}
 	h.snap.Store(next)
 	h.rebuilds.Add(1)
-	telemetry.Active().Counter("plancache.hot.rebuilds").Add(1)
 }
 
 // Invalidate tombstones key's pinned entry, if any: the LRU replaced or
@@ -144,7 +143,6 @@ func (h *HotTier) Invalidate(key string) {
 	defer h.writeMu.Unlock()
 	if e, ok := h.snap.Load().entries[key]; ok && !e.dead.Swap(true) {
 		h.invalidation.Add(1)
-		telemetry.Active().Counter("plancache.hot.invalidations").Add(1)
 	}
 }
 
@@ -171,4 +169,18 @@ func (h *HotTier) Stats() HotStats {
 		Rebuilds:      h.rebuilds.Load(),
 		Invalidations: h.invalidation.Load(),
 	}
+}
+
+// Collect writes the tier's counters into snap, for a telemetry registry
+// to read at snapshot time (Registry.Collect); no-op on nil.
+func (h *HotTier) Collect(snap telemetry.Snapshot) {
+	if h == nil {
+		return
+	}
+	st := h.Stats()
+	snap.Counters["plancache.hot.rebuilds"] = st.Rebuilds
+	snap.Counters["plancache.hot.invalidations"] = st.Invalidations
+	snap.Gauges["plancache.hot.entries"] = float64(st.Entries)
+	snap.Gauges["plancache.hot.hits"] = float64(st.Hits)
+	snap.Gauges["plancache.hot.rebuilds"] = float64(st.Rebuilds)
 }

@@ -28,10 +28,10 @@ func TestHotTierPinsHottestServedEntries(t *testing.T) {
 		key := fmt.Sprintf("k%d", i)
 		c.PutDecoded(key, []byte(fmt.Sprintf("v%d", i)), i)
 		for j := 0; j <= i; j++ {
-			c.Get(key) // k7 hottest, k0 coolest
+			c.GetDecoded(key) // k7 hottest, k0 coolest
 		}
 	}
-	c.Put("cold", []byte("never served"))
+	c.PutDecoded("cold", []byte("never served"), nil)
 
 	h := NewHotTier(3)
 	h.Rebuild(c)
@@ -58,7 +58,7 @@ func TestHotTierPinsHottestServedEntries(t *testing.T) {
 func TestHotTierFeedsHitsBackToLRU(t *testing.T) {
 	c := NewCache(0)
 	c.PutDecoded("hot", []byte("v"), nil)
-	c.Get("hot")
+	c.GetDecoded("hot")
 	h := NewHotTier(1)
 	h.Rebuild(c)
 	for i := 0; i < 10; i++ {
@@ -78,7 +78,7 @@ func TestHotTierConcurrentGetAndRebuild(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		key := fmt.Sprintf("k%d", i)
 		c.PutDecoded(key, []byte(key), nil)
-		c.Get(key)
+		c.GetDecoded(key)
 	}
 	h := NewHotTier(16)
 	h.Rebuild(c)
@@ -107,18 +107,18 @@ func TestHotTierConcurrentGetAndRebuild(t *testing.T) {
 
 func TestCacheAddHitsRefreshesRecencyAndRanking(t *testing.T) {
 	c := NewCache(3*(128+2+1) + 10) // room for ~3 tiny entries
-	c.Put("a", []byte("1"))
-	c.Put("b", []byte("1"))
+	c.PutDecoded("a", []byte("1"), nil)
+	c.PutDecoded("b", []byte("1"), nil)
 	c.AddHits("a", 5)
 	c.AddHits("missing", 5) // no-op
 	// "a" was refreshed after "b": inserting two more should evict "b"
 	// first.
-	c.Put("c", []byte("1"))
-	c.Put("d", []byte("1"))
-	if _, ok := c.Get("a"); !ok {
+	c.PutDecoded("c", []byte("1"), nil)
+	c.PutDecoded("d", []byte("1"), nil)
+	if _, _, ok := c.GetDecoded("a"); !ok {
 		t.Fatal("AddHits did not refresh recency: a evicted before b")
 	}
-	if _, ok := c.Get("b"); ok {
+	if _, _, ok := c.GetDecoded("b"); ok {
 		t.Fatal("b should have been evicted as least recent")
 	}
 	top := c.TopEntries(1)
@@ -136,7 +136,7 @@ func TestHotTierInvalidatedOnReplace(t *testing.T) {
 	c.OnInvalidate(h.Invalidate)
 
 	c.PutDecoded("k", []byte("v1"), "d1")
-	c.Get("k")
+	c.GetDecoded("k")
 	h.Rebuild(c)
 	if raw, _, ok := h.Get("k"); !ok || string(raw) != "v1" {
 		t.Fatalf("tier should serve v1 before the replace, got %q ok=%v", raw, ok)
@@ -153,7 +153,7 @@ func TestHotTierInvalidatedOnReplace(t *testing.T) {
 	// Same-bytes re-puts (the canonical-content common case) must NOT
 	// tombstone: the pinned bytes still match the cache.
 	c.PutDecoded("k2", []byte("w"), nil)
-	c.Get("k2")
+	c.GetDecoded("k2")
 	h.Rebuild(c)
 	c.PutDecoded("k2", []byte("w"), nil)
 	if _, _, ok := h.Get("k2"); !ok {
@@ -161,7 +161,7 @@ func TestHotTierInvalidatedOnReplace(t *testing.T) {
 	}
 
 	// The next rebuild re-pins the fresh bytes.
-	c.Get("k")
+	c.GetDecoded("k")
 	h.Rebuild(c)
 	if raw, _, ok := h.Get("k"); !ok || string(raw) != "v2" {
 		t.Fatalf("rebuilt tier = %q ok=%v, want v2", raw, ok)
@@ -177,7 +177,7 @@ func TestHotTierInvalidatedOnEvict(t *testing.T) {
 	c.OnInvalidate(h.Invalidate)
 
 	c.PutDecoded("a", []byte("va"), nil)
-	c.Get("a")
+	c.GetDecoded("a")
 	h.Rebuild(c)
 	if _, _, ok := h.Get("a"); !ok {
 		t.Fatal("tier should serve a before the eviction")
@@ -186,7 +186,7 @@ func TestHotTierInvalidatedOnEvict(t *testing.T) {
 	// Two more entries push "a" (the LRU tail) out.
 	c.PutDecoded("b", []byte("vb"), nil)
 	c.PutDecoded("c", []byte("vc"), nil)
-	if _, ok := c.Get("a"); ok {
+	if _, _, ok := c.GetDecoded("a"); ok {
 		t.Fatal("test setup: a was not evicted")
 	}
 	if raw, _, ok := h.Get("a"); ok {
@@ -213,7 +213,7 @@ func TestHotTierReplaceRace(t *testing.T) {
 	}
 
 	c.PutDecoded("k", []byte("0"), nil)
-	c.Get("k")
+	c.GetDecoded("k")
 	h.Rebuild(c)
 
 	stop := make(chan struct{})
@@ -242,7 +242,7 @@ func TestHotTierReplaceRace(t *testing.T) {
 		c.PutDecoded("k", []byte(strconv.FormatInt(i, 10)), nil)
 		lastPut.Store(i)
 		if i%100 == 0 {
-			c.Get("k")
+			c.GetDecoded("k")
 			h.Rebuild(c)
 		}
 	}

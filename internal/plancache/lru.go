@@ -18,11 +18,11 @@ const DefaultMaxBytes = 64 << 20
 const entryOverhead = 128
 
 // Cache is a byte-bounded LRU of encoded plans, safe for concurrent use.
-// Values are treated as immutable by both sides: Put keeps the given
-// slice, Get returns it without copying. An entry may additionally carry
-// a decoded form of the same value (PutDecoded/GetDecoded), sharing the
-// entry's LRU position and lifetime, so hot read paths skip re-parsing
-// the bytes they already hold.
+// Values are treated as immutable by both sides: PutDecoded keeps the
+// given slice, GetDecoded returns it without copying. An entry carries a
+// decoded form of the same value alongside the bytes (nil when the
+// caller has none), sharing the entry's LRU position and lifetime, so
+// read paths skip re-parsing the bytes they already hold.
 type Cache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -65,22 +65,16 @@ func NewCache(maxBytes int64) *Cache {
 	}
 }
 
-// Get returns the cached value for key, marking it most recently used.
-func (c *Cache) Get(key string) ([]byte, bool) {
-	val, _, ok := c.GetDecoded(key)
-	return val, ok
-}
-
-// GetDecoded is Get also returning the decoded value stored alongside the
-// bytes, when one was supplied via PutDecoded (nil otherwise). Both
-// returns are shared with the cache and must be treated as immutable.
+// GetDecoded returns the cached bytes for key and the decoded value
+// stored alongside them (nil if PutDecoded was given none), marking the
+// entry most recently used. Both are shared with the cache and must be
+// treated as immutable.
 func (c *Cache) GetDecoded(key string) ([]byte, any, bool) {
 	c.mu.Lock()
 	el, ok := c.items[key]
 	if !ok {
 		c.misses++
 		c.mu.Unlock()
-		telemetry.Active().Counter("plancache.misses").Add(1)
 		return nil, nil, false
 	}
 	c.hits++
@@ -89,26 +83,21 @@ func (c *Cache) GetDecoded(key string) ([]byte, any, bool) {
 	e.hits++
 	val, dec := e.val, e.decoded
 	c.mu.Unlock()
-	telemetry.Active().Counter("plancache.hits").Add(1)
 	return val, dec, true
 }
 
-// Put inserts or replaces the value for key and evicts from the LRU tail
-// until the byte budget holds. A value that alone exceeds the budget is
-// not cached.
-func (c *Cache) Put(key string, val []byte) { c.PutDecoded(key, val, nil) }
-
-// PutDecoded is Put also retaining decoded — a parsed form of val — for
-// GetDecoded to return without re-parsing. Replacing an entry replaces
-// its decoded value too (possibly with nil), so the two can never skew.
-// The decoded value is not charged against the byte budget: it mirrors
-// val's information, and the budget meters the canonical bytes.
+// PutDecoded inserts or replaces the value for key, with decoded — a
+// parsed form of val, or nil — for GetDecoded to return without
+// re-parsing, and evicts from the LRU tail until the byte budget holds.
+// A value that alone exceeds the budget is not cached. Replacing an
+// entry replaces its decoded value too, so the two can never skew. The
+// decoded value is not charged against the byte budget: it mirrors val's
+// information, and the budget meters the canonical bytes.
 func (c *Cache) PutDecoded(key string, val []byte, decoded any) {
 	size := int64(len(key)+len(val)) + entryOverhead
 	if size > c.maxBytes {
 		return
 	}
-	var evicted int64
 	// Keys whose bytes left the cache under the lock; the hook runs after
 	// unlock (it may take its own lock) but before PutDecoded returns, so
 	// a caller that completed a replace never races its own invalidation.
@@ -137,7 +126,6 @@ func (c *Cache) PutDecoded(key string, val []byte, decoded any) {
 		delete(c.items, e.key)
 		c.bytes -= int64(len(e.key)+len(e.val)) + entryOverhead
 		c.evictions++
-		evicted++
 		if c.onInvalidate != nil {
 			stale = append(stale, e.key)
 		}
@@ -145,9 +133,6 @@ func (c *Cache) PutDecoded(key string, val []byte, decoded any) {
 	c.mu.Unlock()
 	for _, k := range stale {
 		c.onInvalidate(k)
-	}
-	if evicted > 0 {
-		telemetry.Active().Counter("plancache.evictions").Add(evicted)
 	}
 }
 
@@ -178,6 +163,18 @@ func (c *Cache) Stats() Stats {
 		Bytes:     c.bytes,
 		MaxBytes:  c.maxBytes,
 	}
+}
+
+// Collect writes the cache's counters and occupancy into snap, for a
+// telemetry registry to read at snapshot time (Registry.Collect).
+func (c *Cache) Collect(snap telemetry.Snapshot) {
+	st := c.Stats()
+	snap.Counters["plancache.hits"] = st.Hits
+	snap.Counters["plancache.misses"] = st.Misses
+	snap.Counters["plancache.evictions"] = st.Evictions
+	snap.Gauges["plancache.entries"] = float64(st.Entries)
+	snap.Gauges["plancache.bytes"] = float64(st.Bytes)
+	snap.Gauges["plancache.hit_ratio"] = st.HitRatio()
 }
 
 // HitRatio returns hits / (hits+misses), or 0 before any lookup.

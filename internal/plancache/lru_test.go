@@ -8,16 +8,16 @@ import (
 
 func TestCacheGetPut(t *testing.T) {
 	c := NewCache(1 << 20)
-	if _, ok := c.Get("k"); ok {
+	if _, _, ok := c.GetDecoded("k"); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put("k", []byte("v1"))
-	v, ok := c.Get("k")
+	c.PutDecoded("k", []byte("v1"), nil)
+	v, _, ok := c.GetDecoded("k")
 	if !ok || !bytes.Equal(v, []byte("v1")) {
 		t.Fatalf("got %q, %v", v, ok)
 	}
-	c.Put("k", []byte("v2"))
-	v, _ = c.Get("k")
+	c.PutDecoded("k", []byte("v2"), nil)
+	v, _, _ = c.GetDecoded("k")
 	if !bytes.Equal(v, []byte("v2")) {
 		t.Fatalf("update not visible: %q", v)
 	}
@@ -33,15 +33,15 @@ func TestCacheEvictsLRU(t *testing.T) {
 	per := int64(1+len(val)) + entryOverhead
 	c := NewCache(3 * per)
 	for i := 0; i < 3; i++ {
-		c.Put(fmt.Sprintf("%d", i), val)
+		c.PutDecoded(fmt.Sprintf("%d", i), val, nil)
 	}
-	c.Get("0") // refresh 0: the LRU victim becomes 1
-	c.Put("3", val)
-	if _, ok := c.Get("1"); ok {
+	c.GetDecoded("0") // refresh 0: the LRU victim becomes 1
+	c.PutDecoded("3", val, nil)
+	if _, _, ok := c.GetDecoded("1"); ok {
 		t.Error("LRU entry 1 survived eviction")
 	}
 	for _, k := range []string{"0", "2", "3"} {
-		if _, ok := c.Get(k); !ok {
+		if _, _, ok := c.GetDecoded(k); !ok {
 			t.Errorf("entry %s evicted out of LRU order", k)
 		}
 	}
@@ -52,8 +52,8 @@ func TestCacheEvictsLRU(t *testing.T) {
 
 func TestCacheRejectsOversizeValue(t *testing.T) {
 	c := NewCache(256)
-	c.Put("big", make([]byte, 1024))
-	if _, ok := c.Get("big"); ok {
+	c.PutDecoded("big", make([]byte, 1024), nil)
+	if _, _, ok := c.GetDecoded("big"); ok {
 		t.Error("value larger than the whole budget was cached")
 	}
 	if s := c.Stats(); s.Bytes != 0 || s.Entries != 0 {
@@ -63,13 +63,13 @@ func TestCacheRejectsOversizeValue(t *testing.T) {
 
 func TestCacheByteAccounting(t *testing.T) {
 	c := NewCache(1 << 20)
-	c.Put("a", make([]byte, 100))
-	c.Put("b", make([]byte, 200))
+	c.PutDecoded("a", make([]byte, 100), nil)
+	c.PutDecoded("b", make([]byte, 200), nil)
 	want := int64(1+100) + entryOverhead + int64(1+200) + entryOverhead
 	if s := c.Stats(); s.Bytes != want {
 		t.Errorf("bytes = %d, want %d", s.Bytes, want)
 	}
-	c.Put("a", make([]byte, 50)) // shrink in place
+	c.PutDecoded("a", make([]byte, 50), nil) // shrink in place
 	want -= 50
 	if s := c.Stats(); s.Bytes != want {
 		t.Errorf("bytes after update = %d, want %d", s.Bytes, want)
@@ -98,20 +98,15 @@ func TestCacheDecodedRidesEntry(t *testing.T) {
 	if dd, _ := d.(*decoded); dd == nil || dd.N != 1 {
 		t.Fatalf("decoded = %#v, want &{1}", d)
 	}
-	// Plain Get still serves the bytes.
-	if v, ok := c.Get("k"); !ok || !bytes.Equal(v, []byte("v1")) {
-		t.Fatalf("Get = %q, %v", v, ok)
-	}
-
-	// Replacing via plain Put must drop the stale decoded value: the two
+	// Replacing with a nil decoded value must drop the stale one: the two
 	// forms can never skew.
-	c.Put("k", []byte("v2"))
+	c.PutDecoded("k", []byte("v2"), nil)
 	v, d, ok = c.GetDecoded("k")
 	if !ok || !bytes.Equal(v, []byte("v2")) {
-		t.Fatalf("after Put: %q, %v", v, ok)
+		t.Fatalf("after replace: %q, %v", v, ok)
 	}
 	if d != nil {
-		t.Fatalf("stale decoded value survived a bytes-only replace: %#v", d)
+		t.Fatalf("stale decoded value survived a nil-decoded replace: %#v", d)
 	}
 
 	// And replacing via PutDecoded installs the new pair.

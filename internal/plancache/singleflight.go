@@ -11,8 +11,8 @@ import (
 )
 
 // Group deduplicates concurrent work by key: while a call for a key is in
-// flight, further Do calls for the same key wait for its result instead
-// of running fn again. Unlike a bare mutex, waiters honor their contexts —
+// flight, further Do calls for the same key wait for its result (of type
+// V, shared by every caller) instead of running fn again. Unlike a bare mutex, waiters honor their contexts —
 // a caller whose context expires leaves without canceling the flight, so
 // the search still completes and (via fn's side effects) lands in the
 // cache for the next request.
@@ -21,15 +21,15 @@ import (
 // request that started it (the owner): Do returns it, so a coalesced
 // waiter's span tree can link to the trace that actually ran the search.
 // Live flights are observable through Flights() for /debug/cache.
-type Group struct {
+type Group[V any] struct {
 	mu     sync.Mutex
-	calls  map[string]*flight
+	calls  map[string]*flight[V]
 	dedups atomic.Int64
 }
 
-type flight struct {
+type flight[V any] struct {
 	done       chan struct{}
-	val        []byte
+	val        V
 	err        error
 	ownerTrace string
 	started    time.Time
@@ -41,10 +41,10 @@ type flight struct {
 // rather than starting one; ownerTrace is the flight owner's trace ID
 // (obs.TraceID of the starting caller's context, "" when untraced). fn
 // runs on its own goroutine detached from any caller's context.
-func (g *Group) Do(ctx context.Context, key string, fn func() ([]byte, error)) (val []byte, shared bool, ownerTrace string, err error) {
+func (g *Group[V]) Do(ctx context.Context, key string, fn func() (V, error)) (val V, shared bool, ownerTrace string, err error) {
 	g.mu.Lock()
 	if g.calls == nil {
-		g.calls = make(map[string]*flight)
+		g.calls = make(map[string]*flight[V])
 	}
 	f, ok := g.calls[key]
 	if ok {
@@ -56,10 +56,10 @@ func (g *Group) Do(ctx context.Context, key string, fn func() ([]byte, error)) (
 		case <-f.done:
 			return f.val, true, f.ownerTrace, f.err
 		case <-ctx.Done():
-			return nil, true, f.ownerTrace, ctx.Err()
+			return val, true, f.ownerTrace, ctx.Err()
 		}
 	}
-	f = &flight{
+	f = &flight[V]{
 		done:       make(chan struct{}),
 		ownerTrace: obs.TraceID(ctx),
 		started:    time.Now(),
@@ -79,12 +79,12 @@ func (g *Group) Do(ctx context.Context, key string, fn func() ([]byte, error)) (
 	case <-f.done:
 		return f.val, false, f.ownerTrace, f.err
 	case <-ctx.Done():
-		return nil, false, f.ownerTrace, ctx.Err()
+		return val, false, f.ownerTrace, ctx.Err()
 	}
 }
 
 // Dedups returns how many Do calls joined an existing flight.
-func (g *Group) Dedups() int64 { return g.dedups.Load() }
+func (g *Group[V]) Dedups() int64 { return g.dedups.Load() }
 
 // FlightInfo describes one in-flight call for the debug endpoints.
 type FlightInfo struct {
@@ -97,7 +97,7 @@ type FlightInfo struct {
 }
 
 // Flights snapshots the live flights, sorted by key.
-func (g *Group) Flights() []FlightInfo {
+func (g *Group[V]) Flights() []FlightInfo {
 	g.mu.Lock()
 	out := make([]FlightInfo, 0, len(g.calls))
 	for key, f := range g.calls {

@@ -16,7 +16,7 @@ import (
 // execution serves everyone.
 func TestGroupCollapsesConcurrentCalls(t *testing.T) {
 	const K = 8
-	var g Group
+	var g Group[[]byte]
 	var runs atomic.Int64
 	joined := make(chan struct{})
 	release := make(chan struct{})
@@ -60,7 +60,7 @@ func TestGroupCollapsesConcurrentCalls(t *testing.T) {
 }
 
 func TestGroupSequentialCallsRunSeparately(t *testing.T) {
-	var g Group
+	var g Group[[]byte]
 	var runs atomic.Int64
 	fn := func() ([]byte, error) { runs.Add(1); return nil, nil }
 	for i := 0; i < 3; i++ {
@@ -74,7 +74,7 @@ func TestGroupSequentialCallsRunSeparately(t *testing.T) {
 }
 
 func TestGroupPropagatesError(t *testing.T) {
-	var g Group
+	var g Group[[]byte]
 	boom := errors.New("boom")
 	_, _, _, err := g.Do(context.Background(), "k", func() ([]byte, error) { return nil, boom })
 	if !errors.Is(err, boom) {
@@ -86,8 +86,8 @@ func TestGroupPropagatesError(t *testing.T) {
 // owner's trace ID, and Flights() exposes the live flight with its
 // waiter count while the flight is held open.
 func TestGroupOwnerTraceAndFlights(t *testing.T) {
-	var g Group
-	ownerCtx := obs.WithTrace(context.Background(), obs.NewTrace("owner-trace-1", "root"))
+	var g Group[[]byte]
+	ownerCtx := obs.WithTrace(context.Background(), obs.NewTrace("owner-trace-1", "root", nil))
 	release := make(chan struct{})
 	started := make(chan struct{})
 
@@ -144,7 +144,7 @@ func TestGroupOwnerTraceAndFlights(t *testing.T) {
 // returns promptly, but the flight itself completes and its side effects
 // (the cache fill) still happen.
 func TestGroupContextLeavesFlightRunning(t *testing.T) {
-	var g Group
+	var g Group[[]byte]
 	release := make(chan struct{})
 	finished := make(chan struct{})
 	ctx, cancel := context.WithCancel(context.Background())

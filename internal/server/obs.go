@@ -49,17 +49,19 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 }
 
 // traced wraps a planning handler in the observability envelope. The
-// root span is named after the route ("/v1/plan" → "server.plan");
-// handlers and the layers below them attach child spans and stamp the
-// root's cache / key / error attributes through the request context.
+// root span is named after the route ("/v1/plan" → "server.plan") and
+// ends into the registry as the route's latency histogram
+// (server.plan.latency); handlers and the layers below them attach child
+// spans and stamp the root's cache / key / error attributes through the
+// request context.
 func (s *Server) traced(route string, h http.HandlerFunc) http.HandlerFunc {
 	root := "server." + strings.ReplaceAll(strings.TrimPrefix(route, "/v1/"), "/", ".")
 	return func(w http.ResponseWriter, r *http.Request) {
-		tr := obs.NewTrace(obs.SanitizeID(r.Header.Get("X-Trace-Id")), root)
+		tr := obs.NewTrace(obs.SanitizeID(r.Header.Get("X-Trace-Id")), root, s.cfg.Registry)
 		ctx := obs.WithTrace(r.Context(), tr)
 		w.Header().Set("X-Trace-Id", tr.ID())
 		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
+		start := tr.Start()
 		h(sw, r.WithContext(ctx))
 		lat := time.Since(start)
 		if sw.status == 0 {
@@ -98,9 +100,7 @@ func (s *Server) traced(route string, h http.HandlerFunc) http.HandlerFunc {
 // fail records the error on the request's root span (so the flight
 // record carries it) and writes the JSON error response.
 func (s *Server) fail(w http.ResponseWriter, r *http.Request, code int, msg string) {
-	if sp := obs.TraceFrom(r.Context()).Root(); sp != nil {
-		sp.SetAttr("error", msg)
-	}
+	obs.TraceFrom(r.Context()).Root().SetAttr("error", msg)
 	writeError(w, code, msg)
 }
 

@@ -36,7 +36,11 @@
 // (obs.go): the request's trace ID — accepted from X-Trace-Id or
 // generated, always echoed back — keys a span tree of the pipeline
 // stages, the flight-recorder record, the structured request log line,
-// and the SLO bookkeeping.
+// and the SLO bookkeeping. Each span ends into the registry as a
+// "<span>.latency" histogram (the route's root span as
+// server.plan.latency and its siblings), and the registry reads the
+// service's, cluster client's, and quota limiter's own counters when
+// /metrics is scraped.
 //
 // Admission control: a bounded in-flight semaphore sheds planning load
 // with 429 + Retry-After once MaxInflight requests are being served;
@@ -73,8 +77,10 @@ import (
 type Config struct {
 	// Service answers the planning requests (required).
 	Service *looppart.Service
-	// Registry receives the server's own spans, counters, and gauges and
-	// backs /metrics. May be nil (endpoints still work; /metrics is empty).
+	// Registry receives the server's own counters and gauges and its
+	// requests' span latencies, reads the Service's (and Cluster's and
+	// Quotas') counters at snapshot time, and backs /metrics. May be nil
+	// (endpoints still work; /metrics is empty).
 	Registry *telemetry.Registry
 	// MaxInflight bounds concurrently served planning requests
 	// (default 4×GOMAXPROCS). Excess requests are shed with 429.
@@ -104,7 +110,7 @@ type Config struct {
 	SLO *obs.SLOTracker
 
 	// Cluster, when non-nil, is this replica's peer-fill client; its ring
-	// ownership, fill counters, and breaker states are mirrored into
+	// ownership, fill counters, and breaker states are read into
 	// /metrics. (The client itself is wired into the Service as its
 	// PeerFiller by the caller — the server only observes it.)
 	Cluster *cluster.Client
@@ -154,6 +160,16 @@ func New(cfg Config) *Server {
 		sem: make(chan struct{}, cfg.MaxInflight),
 		mux: http.NewServeMux(),
 	}
+	if reg := cfg.Registry; reg != nil {
+		reg.Collect(func(snap telemetry.Snapshot) { snap.Gauges["server.inflight"] = float64(len(s.sem)) })
+		reg.Collect(cfg.Service.Collect)
+		if cfg.Cluster != nil {
+			reg.Collect(cfg.Cluster.Collect)
+		}
+		if cfg.Quotas != nil {
+			reg.Collect(cfg.Quotas.Collect)
+		}
+	}
 	s.mux.HandleFunc("/v1/plan", s.traced("/v1/plan", s.handlePlan))
 	s.mux.HandleFunc("/v1/plan/batch", s.traced("/v1/plan/batch", s.handleBatch))
 	s.mux.HandleFunc("/v1/autotune", s.traced("/v1/autotune", s.handleAutotune))
@@ -173,7 +189,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) admit(w http.ResponseWriter) bool {
 	select {
 	case s.sem <- struct{}{}:
-		s.cfg.Registry.Gauge("server.inflight").Set(float64(len(s.sem)))
 		return true
 	default:
 		s.cfg.Registry.Counter("server.shed").Add(1)
@@ -183,10 +198,7 @@ func (s *Server) admit(w http.ResponseWriter) bool {
 	}
 }
 
-func (s *Server) release() {
-	<-s.sem
-	s.cfg.Registry.Gauge("server.inflight").Set(float64(len(s.sem)))
-}
+func (s *Server) release() { <-s.sem }
 
 // allowTenant spends one token from the requesting tenant's quota
 // bucket, or sheds the request with 429 + Retry-After. A nil Quotas
@@ -203,9 +215,7 @@ func (s *Server) allowTenant(w http.ResponseWriter, r *http.Request) bool {
 	if tenant == "" {
 		tenant = cluster.AnonTenant
 	}
-	if sp := obs.TraceFrom(r.Context()).Root(); sp != nil {
-		sp.SetAttr("quota_tenant", tenant)
-	}
+	obs.TraceFrom(r.Context()).Root().SetAttr("quota_tenant", tenant)
 	// Ceiling with a floor of 1: Retry-After is whole seconds, and a
 	// sub-second wait must never round to 0 (an immediate retry into the
 	// same empty bucket), while an exact multiple must not gain a spare
@@ -287,9 +297,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	sp := reg.StartSpan("server.plan")
-	defer sp.End()
-	start := time.Now()
 
 	var req looppart.PlanRequest
 	if !s.decode(w, r, &req) {
@@ -308,10 +315,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, planStatus(err), err.Error())
 		return
 	}
-	reg.Histogram("server.plan.latency").Observe(time.Since(start))
-	s.publishCacheGauges()
-	sp.SetArg("key", resp.Key)
-	sp.SetArg("cache", resp.Status)
 	obs.TraceFrom(r.Context()).Root().SetAttr("cache", resp.Status)
 
 	if s.cfg.SelfCheck || r.URL.Query().Get("verify") == "1" {
@@ -384,9 +387,7 @@ func (s *Server) handleVerified(w http.ResponseWriter, r *http.Request, req loop
 	w.Header().Set("X-Plancache", resp.Status)
 	if !rep.OK() {
 		reg.Counter("server.verify_failures").Add(1)
-		if sp := obs.TraceFrom(r.Context()).Root(); sp != nil {
-			sp.SetAttr("error", "plan verification failed")
-		}
+		obs.TraceFrom(r.Context()).Root().SetAttr("error", "plan verification failed")
 		w.WriteHeader(http.StatusInternalServerError)
 	}
 	json.NewEncoder(w).Encode(verifyResponse{Result: resp.Raw, Verify: rep})
@@ -449,9 +450,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	sp := reg.StartSpan("server.plan.batch")
-	defer sp.End()
-	start := time.Now()
 
 	var batch batchRequest
 	if !s.decode(w, r, &batch) {
@@ -485,9 +483,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}(i, req)
 	}
 	wg.Wait()
-	reg.Histogram("server.plan.batch.latency").Observe(time.Since(start))
-	s.publishCacheGauges()
-	sp.SetArg("items", len(batch.Requests))
+	obs.TraceFrom(r.Context()).Root().SetAttr("items", len(batch.Requests))
 
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(batchResponse{Responses: items})
@@ -512,9 +508,6 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	sp := reg.StartSpan("server.autotune")
-	defer sp.End()
-	start := time.Now()
 
 	var req looppart.PlanRequest
 	if !s.decode(w, r, &req) {
@@ -533,9 +526,7 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reg.Counter("server.autotunes").Add(1)
-	reg.Histogram("server.autotune.latency").Observe(time.Since(start))
-	s.publishCacheGauges()
-	sp.SetArg("winner", res.WinnerCandidate().TileDesc)
+	obs.TraceFrom(r.Context()).Root().SetAttr("winner", res.WinnerCandidate().TileDesc)
 
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(res)
@@ -569,9 +560,6 @@ func (s *Server) handlePeerPlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	sp := reg.StartSpan("server.peer.plan")
-	defer sp.End()
-	start := time.Now()
 
 	var req looppart.PlanRequest
 	if !s.decode(w, r, &req) {
@@ -589,13 +577,6 @@ func (s *Server) handlePeerPlan(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, planStatus(err), err.Error())
 		return
 	}
-	reg.Histogram("server.peer.plan.latency").Observe(time.Since(start))
-	s.publishCacheGauges()
-	sp.SetArg("key", resp.Key)
-	sp.SetArg("cache", resp.Status)
-	if from := r.Header.Get(cluster.FromHeader); from != "" {
-		sp.SetArg("from", from)
-	}
 	root := obs.TraceFrom(r.Context()).Root()
 	root.SetAttr("cache", resp.Status)
 	root.SetAttr("peer_from", r.Header.Get(cluster.FromHeader))
@@ -611,7 +592,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.publishCacheGauges()
 	s.cfg.SLO.Publish(s.cfg.Registry)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	if err := s.cfg.Registry.WriteMetricsText(w); err != nil {
@@ -630,69 +610,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# EXEMPLAR %s trace_id=%q latency_seconds=%g\n",
 			telemetry.PromName("server.slo."+st.Objective.Route+".breach"),
 			ex.TraceID, ex.Latency.Seconds())
-	}
-}
-
-// publishCacheGauges mirrors the service and cache counters into the
-// registry so /metrics exposes them.
-func (s *Server) publishCacheGauges() {
-	reg := s.cfg.Registry
-	if reg == nil {
-		return
-	}
-	st := s.cfg.Service.Stats()
-	reg.Gauge("plancache.entries").Set(float64(st.Cache.Entries))
-	reg.Gauge("plancache.bytes").Set(float64(st.Cache.Bytes))
-	reg.Gauge("plancache.hit_ratio").Set(st.Cache.HitRatio())
-	reg.Gauge("service.searches").Set(float64(st.Searches))
-	reg.Gauge("service.cache_hits").Set(float64(st.CacheHits))
-	if st.Store != nil {
-		reg.Gauge("autotune.store.entries").Set(float64(st.Store.Entries))
-		reg.Gauge("autotune.store.get_hits").Set(float64(st.Store.GetHits))
-		reg.Gauge("autotune.store.quarantined_entries").Set(float64(st.Store.Quarantined))
-		reg.Gauge("service.store_hits").Set(float64(st.StoreHits))
-		reg.Gauge("service.warm_loaded").Set(float64(st.WarmLoaded))
-	}
-	if st.Hot != nil {
-		reg.Gauge("plancache.hot.entries").Set(float64(st.Hot.Entries))
-		reg.Gauge("plancache.hot.hits").Set(float64(st.Hot.Hits))
-		reg.Gauge("plancache.hot.rebuilds").Set(float64(st.Hot.Rebuilds))
-		reg.Gauge("service.hot_hits").Set(float64(st.HotHits))
-	}
-	s.publishClusterGauges()
-}
-
-// publishClusterGauges mirrors the peer-fill client and quota counters
-// into the registry: ring ownership per member, fill outcomes, breaker
-// positions (0 closed, 1 half-open, 2 open), and quota rejections.
-func (s *Server) publishClusterGauges() {
-	reg := s.cfg.Registry
-	if reg == nil {
-		return
-	}
-	if c := s.cfg.Cluster; c != nil {
-		st := c.Stats()
-		reg.Gauge("cluster.ring.members").Set(float64(st.Members))
-		reg.Gauge("cluster.ring.self_fraction").Set(st.SelfFraction)
-		for _, m := range c.Ring().Members() {
-			reg.Gauge("cluster.ring.owned_fraction." + m).Set(c.Ring().OwnedFraction(m))
-		}
-		reg.Gauge("cluster.peer_fill.fills").Set(float64(st.Fills))
-		reg.Gauge("cluster.peer_fill.fill_failures").Set(float64(st.FillFailures))
-		reg.Gauge("cluster.peer_fill.self_owned").Set(float64(st.SelfOwned))
-		reg.Gauge("cluster.peer_fill.breaker_skips").Set(float64(st.BreakerSkips))
-		reg.Gauge("cluster.peer_fill.hedged").Set(float64(st.Hedges))
-		for _, b := range st.Breakers {
-			reg.Gauge("cluster.breaker." + b.Peer).Set(float64(b.Code))
-		}
-		svc := s.cfg.Service.Stats()
-		reg.Gauge("service.peer_hits").Set(float64(svc.PeerHits))
-		reg.Gauge("service.peer_fallbacks").Set(float64(svc.PeerFallbacks))
-	}
-	if q := s.cfg.Quotas; q != nil {
-		st := q.Stats()
-		reg.Gauge("cluster.quota.tenants").Set(float64(st.Tenants))
-		reg.Gauge("cluster.quota.allowed").Set(float64(st.Allowed))
-		reg.Gauge("cluster.quota.rejected").Set(float64(st.Rejected))
 	}
 }

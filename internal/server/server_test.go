@@ -447,10 +447,63 @@ func TestServerMetricsAndHealthz(t *testing.T) {
 	}
 	mBody, _ := io.ReadAll(m.Body)
 	m.Body.Close()
-	for _, want := range []string{"server_requests 1", "plancache_hit_ratio", "service_searches 1"} {
+	for _, want := range []string{"server_requests_total 1", "plancache_hit_ratio", "service_searches 1"} {
 		if !strings.Contains(string(mBody), want) {
 			t.Errorf("metrics lack %q:\n%s", want, mBody)
 		}
+	}
+	if strings.Contains(string(mBody), "\nserver_requests ") {
+		t.Errorf("metrics still carry the bare-name counter alias:\n%s", mBody)
+	}
+}
+
+// TestMetricsExpositionIsValid scrapes /metrics with the hot tier on,
+// after enough requests to rebuild it, and checks the text format: no
+// family gets two # TYPE lines, and no sample precedes its family's
+// # TYPE line. The hot tier exports plancache.hot.rebuilds as both a
+// counter and a gauge, so the counter must print under its _total
+// family only.
+func TestMetricsExpositionIsValid(t *testing.T) {
+	svc := looppart.NewService(looppart.ServiceOptions{HotKeys: 4, HotRebuildEvery: 2})
+	_, ts := newTestServer(t, Config{Service: svc})
+	for i := 0; i < 6; i++ {
+		postPlan(t, ts.URL, planBody("rect", 16))
+	}
+	if svc.Stats().Hot.Rebuilds == 0 {
+		t.Fatal("hot tier never rebuilt")
+	}
+	m, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(m.Body)
+	m.Body.Close()
+
+	typed := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			if typed[f[2]] != "" {
+				t.Errorf("family %s has two # TYPE lines", f[2])
+			}
+			typed[f[2]] = f[3]
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name := strings.Fields(line)[0]
+		family := name
+		for _, suffix := range []string{"_count", "_sum", "_min", "_max"} {
+			if base := strings.TrimSuffix(name, suffix); typed[base] == "summary" {
+				family = base
+			}
+		}
+		if typed[family] == "" {
+			t.Errorf("sample %q precedes its family's # TYPE line", line)
+		}
+	}
+	if typed["plancache_hot_rebuilds_total"] != "counter" || typed["plancache_hot_rebuilds"] != "gauge" {
+		t.Errorf("hot-tier families typed %q / %q", typed["plancache_hot_rebuilds_total"], typed["plancache_hot_rebuilds"])
 	}
 }
 
@@ -478,7 +531,7 @@ func TestServerTimeoutStillFillsCache(t *testing.T) {
 	// The detached search finishes and fills the cache; wait for it, then
 	// a fresh server with a sane timeout serves a hit.
 	deadline := time.Now().Add(10 * time.Second)
-	for svc.CacheStats().Entries == 0 {
+	for svc.Stats().Cache.Entries == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("search never filled the cache")
 		}

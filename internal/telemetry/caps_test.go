@@ -2,26 +2,20 @@ package telemetry
 
 import "testing"
 
-func TestRecordCapsBoundSpansAndEvents(t *testing.T) {
+func TestEventCapBoundsEvents(t *testing.T) {
 	r := New()
-	r.SetRecordCaps(2, 3)
+	r.SetEventCap(3)
 	for i := 0; i < 5; i++ {
-		r.StartSpan("s").End()
+		if want := i < 3; r.Recording() != want {
+			t.Errorf("before event %d: Recording = %v, want %v", i, !want, want)
+		}
 		r.Emit("k", "n", nil)
-	}
-	if n := len(r.Spans()); n != 2 {
-		t.Errorf("spans = %d, want 2", n)
 	}
 	if n := len(r.Events()); n != 3 {
 		t.Errorf("events = %d, want 3", n)
 	}
-	ds, de := r.DroppedRecords()
-	if ds != 3 || de != 2 {
-		t.Errorf("dropped = %d spans, %d events; want 3, 2", ds, de)
-	}
-	snap := r.Snapshot()
-	if snap.Counters["telemetry.dropped_spans"] != 3 || snap.Counters["telemetry.dropped_events"] != 2 {
-		t.Errorf("snapshot drop counters = %v", snap.Counters)
+	if got := r.Snapshot().Counters["telemetry.dropped_events"]; got != 2 {
+		t.Errorf("snapshot drop counter = %d, want 2", got)
 	}
 }
 
@@ -33,7 +27,10 @@ func TestRecordCapsZeroMeansUnbounded(t *testing.T) {
 	if n := len(r.Events()); n != 100 {
 		t.Errorf("events = %d, want 100", n)
 	}
-	if _, de := r.DroppedRecords(); de != 0 {
+	if de := r.Snapshot().Counters["telemetry.dropped_events"]; de != 0 {
 		t.Errorf("dropped events = %d", de)
+	}
+	if !r.Recording() {
+		t.Error("an uncapped registry stopped recording")
 	}
 }

@@ -23,17 +23,13 @@ func (r *Registry) WriteMetricsJSON(w io.Writer) error {
 // format (version 0.0.4): every family gets `# HELP` and `# TYPE` lines,
 // counters are exposed under their conventional `_total` name, and
 // histograms emit `_count`, `_sum`, `_min`, `_max` samples.
-//
-// Counters are additionally emitted under their bare legacy name (no
-// `_total`, untyped) so existing scrape rules keep working for one
-// release; the aliases will be dropped once dashboards migrate.
 func (r *Registry) WriteMetricsText(w io.Writer) error {
 	snap := r.Snapshot()
 	for _, name := range sortedKeys(snap.Counters) {
 		pn := promName(name)
 		if _, err := fmt.Fprintf(w,
-			"# HELP %s_total Cumulative count of %s.\n# TYPE %s_total counter\n%s_total %d\n%s %d\n",
-			pn, name, pn, pn, snap.Counters[name], pn, snap.Counters[name]); err != nil {
+			"# HELP %s_total Cumulative count of %s.\n# TYPE %s_total counter\n%s_total %d\n",
+			pn, name, pn, pn, snap.Counters[name]); err != nil {
 			return err
 		}
 	}

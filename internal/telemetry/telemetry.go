@@ -1,7 +1,9 @@
-// Package telemetry is the instrumentation layer of the reproduction: a
-// zero-dependency registry of counters, gauges, duration histograms, spans,
-// and structured decision events, threaded through the partitioning
-// pipeline (analysis → partition search → simulation → execution).
+// Package telemetry is the metric layer of the reproduction: a
+// zero-dependency registry of counters, gauges, duration histograms, and
+// structured decision events, threaded through the partitioning pipeline
+// (analysis → partition search → simulation → execution). Spans live in
+// internal/obs; ending one records its duration here, in the histogram
+// "<span>.latency" (Latency).
 //
 // The paper's argument is quantitative — tile shapes are chosen by
 // minimizing a cumulative-footprint cost (Theorems 2/4) and validated
@@ -11,12 +13,14 @@
 //   - the partition searches emit one decision event per candidate tile
 //     (grid, extents, predicted footprint) and one for the winner, so
 //     `looppart -explain` can print why a shape won;
-//   - the executor records per-processor tile spans, barrier wait, and
-//     striped-lock contention; the cache simulator publishes its Metrics
-//     through the same registry;
-//   - the whole registry exports as a Chrome trace-event file (-trace), a
-//     flat metrics dump (-metrics, JSON or Prometheus-style text), or a
-//     Snapshot attached to experiment results.
+//   - the executor records barrier wait, per-processor iteration counts,
+//     and striped-lock contention; the cache simulator publishes its
+//     Metrics through the same registry;
+//   - components that count their own events (the planning service, the
+//     plan cache, the cluster client, the tuned-plan store) are read at
+//     snapshot time through Collect, so each event is counted once;
+//   - the registry exports as a flat metrics dump (-metrics, JSON or
+//     Prometheus-style text) or a Snapshot attached to experiment results.
 //
 // Telemetry is disabled by default: the active registry is nil and every
 // method is nil-receiver-safe, so instrumented code pays only a pointer
@@ -52,19 +56,22 @@ func Enabled() bool { return active.Load() != nil }
 type Registry struct {
 	start time.Time
 
-	// spanCap/eventCap bound the recorded spans/events (0 = unbounded);
-	// see SetRecordCaps. Overflow drops the new record and counts it.
-	spanCap       int
+	// eventCap bounds the recorded events (0 = unbounded); see
+	// SetEventCap. Overflow drops the new event and counts it.
 	eventCap      int
-	droppedSpans  atomic.Int64
+	eventsFull    atomic.Bool
 	droppedEvents atomic.Int64
 
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	spans    []Span
-	events   []Event
+	// latency maps a span name to its "<name>.latency" histogram, so a
+	// span's End finds it without building the name.
+	latency sync.Map
+
+	mu         sync.Mutex
+	counters   map[string]*Counter
+	gauges     map[string]*Gauge
+	hists      map[string]*Histogram
+	events     []Event
+	collectors []func(Snapshot)
 }
 
 // New creates an empty registry whose clock starts now.
@@ -80,29 +87,55 @@ func New() *Registry {
 // since returns the registry-relative timestamp.
 func (r *Registry) since() time.Duration { return time.Since(r.start) }
 
-// SetRecordCaps bounds the span and event buffers, for registries that
-// live as long as a serving process rather than one CLI run (counters,
-// gauges, and histograms aggregate in place and need no cap). A cap of 0
-// leaves that buffer unbounded. Once a buffer is full, later records are
-// dropped and counted; the drop totals surface in Snapshot as
-// telemetry.dropped_spans / telemetry.dropped_events.
-func (r *Registry) SetRecordCaps(spans, events int) {
+// Start returns the wall-clock time event timestamps are relative to.
+func (r *Registry) Start() time.Time {
+	if r == nil {
+		return time.Time{}
+	}
+	return r.start
+}
+
+// SetEventCap bounds the event buffer, for registries that live as long
+// as a serving process rather than one CLI run (counters, gauges, and
+// histograms aggregate in place and need no cap). A cap of 0 leaves the
+// buffer unbounded. Once it is full, later events are dropped and
+// counted (telemetry.dropped_events in Snapshot), and Recording turns
+// false so instrumented code stops building them.
+func (r *Registry) SetEventCap(n int) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.spanCap = spans
-	r.eventCap = events
+	r.eventCap = n
+	r.eventsFull.Store(n > 0 && len(r.events) >= n)
 	r.mu.Unlock()
 }
 
-// DroppedRecords returns how many spans and events were dropped at the
-// record caps.
-func (r *Registry) DroppedRecords() (spans, events int64) {
+// Collect registers fn to run on every Snapshot: fn writes the counters
+// and gauges a component already keeps into the snapshot's maps, so the
+// registry exports them without counting the events a second time. fn
+// runs outside the registry's lock and must not call Collect.
+func (r *Registry) Collect(fn func(Snapshot)) {
 	if r == nil {
-		return 0, 0
+		return
 	}
-	return r.droppedSpans.Load(), r.droppedEvents.Load()
+	r.mu.Lock()
+	r.collectors = append(r.collectors, fn)
+	r.mu.Unlock()
+}
+
+// Latency returns the histogram a span named span ends into, exported
+// as "<span>.latency". It is looked up by the span name itself, so
+// recording a span builds no string. Returns nil on a nil registry.
+func (r *Registry) Latency(span string) *Histogram {
+	if r == nil {
+		return nil
+	}
+	if h, ok := r.latency.Load(span); ok {
+		return h.(*Histogram)
+	}
+	h, _ := r.latency.LoadOrStore(span, r.Histogram(span+".latency"))
+	return h.(*Histogram)
 }
 
 // Counter returns the named counter, creating it on first use. Returns nil
@@ -265,7 +298,8 @@ type Snapshot struct {
 	Histograms map[string]HistSummary `json:"histograms,omitempty"`
 }
 
-// Snapshot copies the current instrument values (empty snapshot on nil).
+// Snapshot copies the current instrument values, then runs the Collect
+// functions (empty snapshot on nil).
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]int64{},
@@ -275,14 +309,10 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
-	if n := r.droppedSpans.Load(); n > 0 {
-		s.Counters["telemetry.dropped_spans"] = n
-	}
 	if n := r.droppedEvents.Load(); n > 0 {
 		s.Counters["telemetry.dropped_events"] = n
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
 	}
@@ -291,6 +321,11 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, h := range r.hists {
 		s.Histograms[name] = h.Summary()
+	}
+	collectors := r.collectors
+	r.mu.Unlock()
+	for _, fn := range collectors {
+		fn(s)
 	}
 	return s
 }

@@ -15,28 +15,19 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	r.Counter("c").Add(1)
 	r.Gauge("g").Set(2)
 	r.Histogram("h").Observe(time.Millisecond)
-	sp := r.StartSpan("phase")
-	sp.SetArg("k", 1)
-	sp.End()
-	r.Emit("kind", "name", map[string]any{"x": 1})
-	r.RecordSpan(Span{Name: "s"})
-	if got := r.Spans(); got != nil {
-		t.Errorf("nil registry spans = %v, want nil", got)
+	r.Latency("phase").Observe(time.Millisecond)
+	r.Collect(func(Snapshot) { t.Error("collector ran on a nil registry") })
+	r.SetEventCap(1)
+	if r.Recording() {
+		t.Error("nil registry reports Recording")
 	}
+	r.Emit("kind", "name", map[string]any{"x": 1})
 	if got := r.Events(); got != nil {
 		t.Errorf("nil registry events = %v, want nil", got)
 	}
 	snap := r.Snapshot()
 	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Histograms) != 0 {
 		t.Errorf("nil registry snapshot not empty: %+v", snap)
-	}
-	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
-		t.Fatalf("nil WriteChromeTrace: %v", err)
-	}
-	var arr []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &arr); err != nil {
-		t.Fatalf("nil trace not a JSON array: %v", err)
 	}
 	if got := r.FormatDecisionTrace(); got != "" {
 		t.Errorf("nil FormatDecisionTrace = %q", got)
@@ -114,52 +105,6 @@ func TestSnapshotDelta(t *testing.T) {
 	}
 }
 
-func TestChromeTraceShape(t *testing.T) {
-	reg := New()
-	sp := reg.StartSpanProc("tile", 3)
-	sp.SetArg("iters", 42)
-	sp.End()
-	reg.Emit("partition.rect", "candidate", map[string]any{"footprint": 104.0})
-	reg.Counter("sim.misses").Add(5)
-	var buf bytes.Buffer
-	if err := reg.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var evs []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil {
-		t.Fatalf("trace is not valid JSON: %v\n%s", err, buf.String())
-	}
-	var sawX, sawI, sawC, sawM bool
-	for _, ev := range evs {
-		ph, _ := ev["ph"].(string)
-		if _, ok := ev["ts"].(float64); !ok && ph != "M" {
-			t.Errorf("event %v missing numeric ts", ev)
-		}
-		switch ph {
-		case "X":
-			sawX = true
-			if _, ok := ev["dur"].(float64); !ok {
-				t.Errorf("complete event missing dur: %v", ev)
-			}
-			if ev["name"] != "tile" || ev["tid"] != float64(4) {
-				t.Errorf("span mapped wrong: %v", ev)
-			}
-		case "i":
-			sawI = true
-			if ev["name"] != "partition.rect:candidate" {
-				t.Errorf("instant event name = %v", ev["name"])
-			}
-		case "C":
-			sawC = true
-		case "M":
-			sawM = true
-		}
-	}
-	if !sawX || !sawI || !sawC || !sawM {
-		t.Errorf("trace missing event phases: X=%v i=%v C=%v M=%v", sawX, sawI, sawC, sawM)
-	}
-}
-
 func TestMetricsExports(t *testing.T) {
 	reg := New()
 	reg.Counter("sim.rect.cold_misses").Add(104)
@@ -188,7 +133,6 @@ func TestMetricsExports(t *testing.T) {
 	text := tbuf.String()
 	for _, want := range []string{
 		"sim_rect_cold_misses_total 104",
-		"sim_rect_cold_misses 104", // legacy alias, one release
 		"exec_load_imbalance 1.25",
 		"exec_barrier_wait_ns_count 1",
 		"# TYPE sim_rect_cold_misses_total counter",
@@ -199,6 +143,45 @@ func TestMetricsExports(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("text dump missing %q:\n%s", want, text)
 		}
+	}
+	// Counters print under their _total name only: a bare-name alias
+	// would repeat the family and break the exposition format.
+	if strings.Contains(text, "\nsim_rect_cold_misses ") {
+		t.Errorf("text dump still carries the bare counter name:\n%s", text)
+	}
+}
+
+func TestCollectReadsComponentCounters(t *testing.T) {
+	reg := New()
+	var served int64
+	reg.Collect(func(s Snapshot) {
+		s.Counters["component.served"] = served
+		s.Gauges["component.ratio"] = 0.5
+	})
+	served = 3
+	snap := reg.Snapshot()
+	if snap.Counters["component.served"] != 3 || snap.Gauges["component.ratio"] != 0.5 {
+		t.Errorf("collected values = %v %v", snap.Counters, snap.Gauges)
+	}
+	served = 5
+	if got := reg.Snapshot().Counters["component.served"]; got != 5 {
+		t.Errorf("second snapshot read %d, want the live value 5", got)
+	}
+}
+
+func TestLatencyHistogramPerSpanName(t *testing.T) {
+	reg := New()
+	h := reg.Latency("search.rect")
+	h.Observe(time.Microsecond)
+	if reg.Latency("search.rect") != h {
+		t.Error("Latency returned a different histogram for the same span name")
+	}
+	if got := reg.Snapshot().Histograms["search.rect.latency"]; got.Count != 1 {
+		t.Errorf("search.rect.latency = %+v, want one observation", got)
+	}
+	allocs := testing.AllocsPerRun(100, func() { reg.Latency("search.rect").Observe(time.Microsecond) })
+	if allocs != 0 {
+		t.Errorf("recording a known span allocates %v times, want 0", allocs)
 	}
 }
 

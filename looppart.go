@@ -35,6 +35,7 @@ import (
 	"looppart/internal/footprint"
 	"looppart/internal/loopir"
 	"looppart/internal/machine"
+	"looppart/internal/obs"
 	"looppart/internal/partition"
 	"looppart/internal/telemetry"
 	"looppart/internal/tile"
@@ -50,18 +51,27 @@ type Program struct {
 // it follows the paper's Doall notation) and runs the reference analysis.
 // Named loop-bound parameters (e.g. N) are resolved against params.
 func Parse(src string, params map[string]int64) (*Program, error) {
-	reg := telemetry.Active()
-	sp := reg.StartSpan("parse")
+	return parse(context.Background(), src, params)
+}
+
+// parse is Parse with its parse and analyze spans opened in ctx, so a
+// served request's tree carries them.
+func parse(ctx context.Context, src string, params map[string]int64) (*Program, error) {
+	_, sp := obs.StartSpan(ctx, "parse")
 	n, err := loopir.Parse(src, params)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	sp = reg.StartSpan("analyze")
+	_, sp = obs.StartSpan(ctx, "analyze")
 	a, err := footprint.Analyze(n)
 	sp.End()
 	if err != nil {
 		return nil, err
+	}
+	reg := telemetry.Active()
+	if !reg.Recording() {
+		return &Program{Nest: n, Analysis: a}, nil
 	}
 	// Decision trace: one event per uniformly intersecting class, carrying
 	// the quantities the optimizers score from (G, spread, coefficients).
@@ -172,15 +182,17 @@ type Plan struct {
 	assign func(p []int64) int
 }
 
-// Partition derives a plan for P processors with the given strategy.
+// Partition derives a plan for P processors with the given strategy. It
+// is PartitionCtx without a context: its spans open under the process
+// trace, if one is installed.
 func (pr *Program) Partition(procs int, strategy Strategy) (*Plan, error) {
 	return pr.PartitionCtx(context.Background(), procs, strategy)
 }
 
-// PartitionCtx is Partition with request-scoped tracing: when ctx carries
-// an obs.Trace, the strategy searches record their spans (search.rect /
-// search.skewed with evaluated/pruned counts) into it. Without a trace it
-// behaves exactly like Partition.
+// PartitionCtx derives a plan for P processors with the given strategy.
+// It opens a partition.<strategy> span in ctx, and the strategy searches
+// record theirs (search.rect / search.skewed with evaluated/pruned
+// counts) beneath it.
 func (pr *Program) PartitionCtx(ctx context.Context, procs int, strategy Strategy) (*Plan, error) {
 	if procs < 1 {
 		return nil, fmt.Errorf("looppart: procs must be >= 1, got %d", procs)
@@ -190,8 +202,9 @@ func (pr *Program) PartitionCtx(ctx context.Context, procs int, strategy Strateg
 	}
 	reg := telemetry.Active()
 	if strategy != Auto {
-		sp := reg.StartSpan("partition." + strategy.String())
-		sp.SetArg("procs", procs)
+		var sp *obs.Span
+		ctx, sp = obs.StartSpan(ctx, "partition."+strategy.String())
+		sp.SetAttr("procs", procs)
 		defer sp.End()
 	}
 	switch strategy {
@@ -416,8 +429,7 @@ func (p *Plan) Simulate(opts SimOptions) (cachesim.Metrics, error) {
 	if !p.Concrete() {
 		return cachesim.Metrics{}, p.errSymbolicPlan()
 	}
-	reg := telemetry.Active()
-	sp := reg.StartSpan("simulate." + p.Strategy.String())
+	_, sp := obs.StartSpan(context.Background(), "simulate."+p.Strategy.String())
 	defer sp.End()
 	cfg := cachesim.DefaultConfig(p.Procs)
 	cfg.CacheLines = opts.CacheLines
@@ -430,7 +442,7 @@ func (p *Plan) Simulate(opts SimOptions) (cachesim.Metrics, error) {
 		return cachesim.Metrics{}, err
 	}
 	metrics := m.Finish()
-	metrics.Publish(reg, "sim."+p.Strategy.String()+".")
+	metrics.Publish(telemetry.Active(), "sim."+p.Strategy.String()+".")
 	return metrics, nil
 }
 
@@ -532,8 +544,7 @@ func (p *Plan) ExecuteOn(st exec.Store) error {
 	if !p.Concrete() {
 		return p.errSymbolicPlan()
 	}
-	reg := telemetry.Active()
-	sp := reg.StartSpan("execute." + p.Strategy.String())
+	_, sp := obs.StartSpan(context.Background(), "execute."+p.Strategy.String())
 	defer sp.End()
 	return exec.RunParallel(p.Program.Nest, st, p.Procs, p.assign)
 }

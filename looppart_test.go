@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"looppart/internal/obs"
 	"looppart/internal/paperex"
 	"looppart/internal/telemetry"
 )
@@ -325,6 +326,9 @@ func TestSimulatePublishesMetricsTelemetry(t *testing.T) {
 	reg := telemetry.New()
 	prev := telemetry.SetActive(reg)
 	defer telemetry.SetActive(prev)
+	proc := obs.NewTrace("test", "test", reg)
+	prevProc := obs.SetProcess(proc)
+	defer obs.SetProcess(prevProc)
 
 	prog := MustParse(paperex.Example8, map[string]int64{"N": 24})
 	plan, err := prog.Partition(16, Rect)
@@ -360,14 +364,13 @@ func TestSimulatePublishesMetricsTelemetry(t *testing.T) {
 			t.Errorf("counter %s = %d, want %d", name, got, want)
 		}
 	}
-	// A simulate span must have been recorded for the strategy.
-	var found bool
-	for _, sp := range reg.Spans() {
-		if sp.Name == "simulate."+plan.Strategy.String() {
-			found = true
-		}
+	// A simulate span must have been recorded for the strategy, under
+	// the process trace and in its latency histogram.
+	name := "simulate." + plan.Strategy.String()
+	if proc.Root().Snapshot().Find(name) == nil {
+		t.Errorf("no %s span recorded", name)
 	}
-	if !found {
-		t.Errorf("no simulate.%s span recorded", plan.Strategy)
+	if got := snap.Histograms[name+".latency"].Count; got != 1 {
+		t.Errorf("%s.latency count = %d, want 1", name, got)
 	}
 }

@@ -98,11 +98,19 @@ trace=$(mktemp /tmp/looppart-trace.XXXXXX.json)
 metrics=$(mktemp /tmp/looppart-metrics.XXXXXX.json)
 trap 'rm -f "$trace" "$metrics"' EXIT
 
-go run ./cmd/looppart -procs 16 -trace "$trace" -metrics "$metrics" example8 >/dev/null
+go run ./cmd/looppart -procs 16 -strategy rect -trace "$trace" -metrics "$metrics" example8 >/dev/null
 
 # The trace must be a JSON array of Chrome trace events (ph/ts fields);
 # the metrics dump must be a JSON object with a counters section.
 go run ./scripts/checktrace "$trace" "$metrics"
+# The library's ctx-less calls record their spans under the CLI's
+# process trace.
+for span in parse analyze partition.rect simulate.rect; do
+	grep -q "\"name\":\"$span\",\"ph\":\"X\"" "$trace" || {
+		echo "verify: looppart -trace lacks the $span span" >&2
+		exit 1
+	}
+done
 
 echo '== smoke: looppart reads a nest from stdin =='
 printf 'doall (i, 1, 16)\n A[i] = A[i] + 1\nenddoall\n' \
@@ -148,7 +156,16 @@ grep -qi '^x-plancache: hit' "$smokedir/hdr2"
 # A hit must be byte-identical to the miss that filled the cache.
 cmp "$smokedir/resp1" "$smokedir/resp2"
 curl -sf "http://$addr/healthz" | grep -q '"status":"ok"'
-curl -sf "http://$addr/metrics" | grep -q '^plancache_hits 1'
+# Counters print under their _total name only, and every request span
+# feeds a <span>.latency histogram.
+curl -sf "http://$addr/metrics" >"$smokedir/metrics"
+grep -q '^plancache_hits_total 1$' "$smokedir/metrics"
+if grep -q '^plancache_hits ' "$smokedir/metrics"; then
+	echo 'verify: /metrics still prints the bare plancache_hits alias' >&2
+	exit 1
+fi
+grep -q '^server_plan_latency_count ' "$smokedir/metrics"
+grep -q '^cache_lookup_latency_count ' "$smokedir/metrics"
 
 # ?verify=1 re-validates the served plan: the response must embed the
 # cached plan bytes unchanged plus a passing verification report.

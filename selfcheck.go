@@ -1,6 +1,7 @@
 package looppart
 
 import (
+	"context"
 	"fmt"
 
 	"looppart/internal/intmat"
@@ -112,7 +113,7 @@ func (pr *Program) PlanFromResult(res *PlanResult) (*Plan, error) {
 // re-parsed to recover the iteration space and reference analysis).
 func (s *Service) Verify(req PlanRequest, res *PlanResult) *verify.Report {
 	rep := &verify.Report{}
-	prog, procs, _, err := s.prepare(req)
+	prog, procs, _, err := s.prepare(context.Background(), req)
 	if err != nil {
 		rep.Fail("reconstruct", "request no longer parses: "+err.Error())
 		return rep

@@ -194,7 +194,7 @@ type Service struct {
 	cache          *plancache.Cache
 	hot            *plancache.HotTier
 	hotEvery       int64
-	group          plancache.Group
+	group          plancache.Group[*PlanResponse]
 	peer           PeerFiller
 	store          *autotune.Store
 	autotuneK      int
@@ -203,15 +203,22 @@ type Service struct {
 	commSets       bool
 	strategies     map[string]bool // enabled strategy names; nil = all
 
+	// The service's own event counters: Stats reports them, and Collect
+	// exports them to a telemetry registry at snapshot time.
 	requests      atomic.Int64
 	searches      atomic.Int64
 	cacheHits     atomic.Int64 // memory hits + singleflight joins
 	hotHits       atomic.Int64 // served from the lock-free hot tier
 	peerHits      atomic.Int64 // filled from the key-owner replica
 	peerFallbacks atomic.Int64 // peer fill declined/failed, searched locally
+	peerBadFills  atomic.Int64 // peer bytes that were not this key's plan
 	storeHits     atomic.Int64 // served from the persistent store
+	storeErrors   atomic.Int64 // failed store writes
+	commErrors    atomic.Int64 // searched plans served without their comm summary
 	errors        atomic.Int64
-	warmLoaded    atomic.Int64 // entries loaded from the store at boot
+	warmLoaded    atomic.Int64                // entries loaded from the store at boot
+	warmSkipped   atomic.Int64                // store entries that failed to decode at boot
+	byStrategy    [Oblivious + 1]atomic.Int64 // requests per strategy
 }
 
 // NewService returns a ready Service. When a store is configured, its
@@ -245,13 +252,17 @@ func NewService(opts ServiceOptions) *Service {
 		s.cache.OnInvalidate(s.hot.Invalidate)
 	}
 	if s.store != nil {
-		var loaded int64
+		// Decode each stored plan once, here: every cache entry the
+		// service serves carries its decoded PlanResult.
 		_ = s.store.Each(func(key string, val []byte) {
-			s.cache.Put(key, val)
-			loaded++
+			dec := &PlanResult{}
+			if err := json.Unmarshal(val, dec); err != nil {
+				s.warmSkipped.Add(1)
+				return
+			}
+			s.cache.PutDecoded(key, val, dec)
+			s.warmLoaded.Add(1)
 		})
-		s.warmLoaded.Store(loaded)
-		telemetry.Active().Counter("service.store.warm_loaded").Add(loaded)
 	}
 	return s
 }
@@ -309,6 +320,50 @@ func (s *Service) Stats() ServiceStats {
 	return st
 }
 
+// Collect writes the service's counters, and those of the plan cache,
+// hot tier, and store it owns, into snap. Register it with
+// telemetry.Registry.Collect: the registry then reads the counters the
+// service already keeps, instead of counting each event again.
+func (s *Service) Collect(snap telemetry.Snapshot) {
+	c, g := snap.Counters, snap.Gauges
+	c["service.plan.requests"] = s.requests.Load()
+	c["service.plan.errors"] = s.errors.Load()
+	c["service.plan.search"] = s.searches.Load()
+	c["service.plan.cache_hit"] = s.cacheHits.Load()
+	g["service.searches"] = float64(s.searches.Load())
+	g["service.cache_hits"] = float64(s.cacheHits.Load())
+	for st := range s.byStrategy {
+		if n := s.byStrategy[st].Load(); n > 0 {
+			c["service.plan.strategy."+Strategy(st).String()] = n
+		}
+	}
+	if s.commSets {
+		c["service.plan.comm_errors"] = s.commErrors.Load()
+	}
+	s.cache.Collect(snap)
+	if s.hot != nil {
+		c["service.plan.hot_hit"] = s.hotHits.Load()
+		g["service.hot_hits"] = float64(s.hotHits.Load())
+		s.hot.Collect(snap)
+	}
+	if s.store != nil {
+		c["service.plan.store_hit"] = s.storeHits.Load()
+		c["service.store.warm_loaded"] = s.warmLoaded.Load()
+		c["service.store.warm_skipped"] = s.warmSkipped.Load()
+		c["service.store.put_errors"] = s.storeErrors.Load()
+		g["service.store_hits"] = float64(s.storeHits.Load())
+		g["service.warm_loaded"] = float64(s.warmLoaded.Load())
+		s.store.Collect(snap)
+	}
+	if s.peer != nil {
+		c["service.plan.peer_hit"] = s.peerHits.Load()
+		c["service.plan.peer_fallback"] = s.peerFallbacks.Load()
+		c["service.plan.peer_bad_fill"] = s.peerBadFills.Load()
+		g["service.peer_hits"] = float64(s.peerHits.Load())
+		g["service.peer_fallbacks"] = float64(s.peerFallbacks.Load())
+	}
+}
+
 // Autotuned reports whether searches run measured tournaments.
 func (s *Service) Autotuned() bool { return s.autotuneK > 0 }
 
@@ -319,9 +374,6 @@ func (s *Service) TopKeys(k int) []plancache.KeyStat { return s.cache.TopKeys(k)
 // Flights snapshots the live singleflight flights — key, owner trace ID,
 // and how many coalesced waiters are blocked on each (for /debug/cache).
 func (s *Service) Flights() []plancache.FlightInfo { return s.group.Flights() }
-
-// CacheStats returns the plan-cache counters.
-func (s *Service) CacheStats() plancache.Stats { return s.cache.Stats() }
 
 // Plan answers req, serving from the cache when possible. ctx bounds only
 // this caller's wait: an in-flight search continues after ctx expires and
@@ -350,18 +402,15 @@ func (s *Service) RebuildHot() {
 
 func (s *Service) plan(ctx context.Context, req PlanRequest, allowPeer bool) (*PlanResponse, error) {
 	n := s.requests.Add(1)
-	reg := telemetry.Active()
-	reg.Counter("service.plan.requests").Add(1)
 	if s.hot != nil && n%s.hotEvery == 0 {
 		// Periodic snapshot refresh; hits between rebuilds serve the
 		// previous snapshot lock-free.
 		s.hot.Rebuild(s.cache)
 	}
 
-	prog, procs, strategy, err := s.prepare(req)
+	prog, procs, strategy, err := s.prepare(ctx, req)
 	if err != nil {
 		s.errors.Add(1)
-		reg.Counter("service.plan.errors").Add(1)
 		return nil, err
 	}
 	key := CanonicalKey(prog, procs, strategy)
@@ -369,15 +418,12 @@ func (s *Service) plan(ctx context.Context, req PlanRequest, allowPeer bool) (*P
 	// root), so a flight record is findable by key.
 	obs.SpanFrom(ctx).SetAttr("key", key)
 
+	// Every entry the service admits carries its decoded result, so a hit
+	// costs a struct copy, not a JSON parse of bytes we produced ourselves.
 	if raw, dec, ok := s.hot.Get(key); ok {
 		s.hotHits.Add(1)
 		s.cacheHits.Add(1)
-		reg.Counter("service.plan.hot_hit").Add(1)
-		reg.Counter("service.plan.cache_hit").Add(1)
-		if pr, ok := dec.(*PlanResult); ok {
-			return responseFromDecoded(key, "hot", raw, pr), nil
-		}
-		return response(key, "hot", raw)
+		return responseFromDecoded(key, "hot", raw, dec.(*PlanResult)), nil
 	}
 
 	_, csp := obs.StartSpan(ctx, "cache.lookup")
@@ -386,13 +432,7 @@ func (s *Service) plan(ctx context.Context, req PlanRequest, allowPeer bool) (*P
 		csp.SetAttr("outcome", "hit")
 		csp.End()
 		s.cacheHits.Add(1)
-		reg.Counter("service.plan.cache_hit").Add(1)
-		if pr, ok := dec.(*PlanResult); ok {
-			// The decoded result rides the cache entry: a hit costs a
-			// struct copy, not a JSON parse of bytes we produced ourselves.
-			return responseFromDecoded(key, "hit", raw, pr), nil
-		}
-		return response(key, "hit", raw)
+		return responseFromDecoded(key, "hit", raw, dec.(*PlanResult)), nil
 	}
 	csp.SetAttr("outcome", "miss")
 	csp.End()
@@ -401,21 +441,17 @@ func (s *Service) plan(ctx context.Context, req PlanRequest, allowPeer bool) (*P
 		if raw, ok := s.store.Get(key); ok {
 			// Evicted from memory (or written by another process) but
 			// still on disk: re-admit and serve the stored bytes — the
-			// same canonical encoding a memory hit returns. The one decode
-			// this path pays is stored alongside the bytes, so subsequent
-			// memory hits skip it.
+			// same canonical encoding a memory hit returns.
 			ssp.SetAttr("outcome", "hit")
 			ssp.End()
 			dec := &PlanResult{}
 			if err := json.Unmarshal(raw, dec); err != nil {
 				s.errors.Add(1)
-				reg.Counter("service.plan.errors").Add(1)
 				return nil, fmt.Errorf("looppart: corrupt cached plan for %s: %v", key, err)
 			}
 			s.cache.PutDecoded(key, raw, dec)
 			s.storeHits.Add(1)
 			s.cacheHits.Add(1)
-			reg.Counter("service.plan.store_hit").Add(1)
 			return responseFromDecoded(key, "hit", raw, dec), nil
 		}
 		ssp.SetAttr("outcome", "miss")
@@ -425,24 +461,20 @@ func (s *Service) plan(ctx context.Context, req PlanRequest, allowPeer bool) (*P
 	// The singleflight span wraps the wait; fn captures sfctx so that when
 	// this caller owns the flight, the search spans attach under it. A
 	// coalesced waiter's fn never runs — its span records the owner's
-	// trace ID instead, linking the two trees.
+	// trace ID instead, linking the two trees. The flight's value is the
+	// owner's response, so a waiter shares its decoded result too.
 	sfctx, sfsp := obs.StartSpan(ctx, "singleflight")
-	var searched *PlanResult
-	var filled *PlanResult
-	raw, shared, ownerTrace, err := s.group.Do(sfctx, key, func() ([]byte, error) {
+	resp, shared, ownerTrace, err := s.group.Do(sfctx, key, func() (*PlanResponse, error) {
 		// Peer fill runs inside the flight: the local duplicates already
 		// collapsed here, and on the key-owner replica the fill requests
 		// collapse into its own singleflight — one search fleet-wide.
 		if allowPeer && s.peer != nil {
 			if dec, raw := s.peerFill(sfctx, key, req); dec != nil {
-				filled = dec
-				return raw, nil
+				return &PlanResponse{Key: key, Status: "peer", Raw: raw, Result: dec}, nil
 			}
 			s.peerFallbacks.Add(1)
-			reg.Counter("service.plan.peer_fallback").Add(1)
 		}
 		s.searches.Add(1)
-		reg.Counter("service.plan.search").Add(1)
 		sctx, ssp := obs.StartSpan(sfctx, "search")
 		ssp.SetAttr("strategy", strategy.String())
 		ssp.SetAttr("procs", procs)
@@ -457,8 +489,7 @@ func (s *Service) plan(ctx context.Context, req PlanRequest, allowPeer bool) (*P
 		s.cache.PutDecoded(key, raw, dec)
 		s.persist(key, raw)
 		psp.End()
-		searched = dec
-		return raw, nil
+		return &PlanResponse{Key: key, Status: "miss", Raw: raw, Result: dec}, nil
 	})
 	if shared {
 		sfsp.SetAttr("role", "waiter")
@@ -471,28 +502,21 @@ func (s *Service) plan(ctx context.Context, req PlanRequest, allowPeer bool) (*P
 	sfsp.End()
 	if err != nil {
 		s.errors.Add(1)
-		reg.Counter("service.plan.errors").Add(1)
 		return nil, err
 	}
-	status := "miss"
-	if shared {
+	status := resp.Status
+	switch {
+	case shared:
 		// Joining a flight is a logical cache hit: the plan this request
 		// needed was already being produced.
 		status = "dedup"
 		s.cacheHits.Add(1)
-		reg.Counter("service.plan.cache_hit").Add(1)
-	} else if filled != nil {
+	case status == "peer":
 		// This caller owned the flight and the key-owner replica supplied
 		// the canonical bytes: no local search ran.
 		s.peerHits.Add(1)
-		reg.Counter("service.plan.peer_hit").Add(1)
-		return responseFromDecoded(key, "peer", raw, filled), nil
-	} else if searched != nil {
-		// This caller owned the flight: the result it just encoded is the
-		// result — no round-trip through JSON.
-		return responseFromDecoded(key, status, raw, searched), nil
 	}
-	return response(key, status, raw)
+	return responseFromDecoded(key, status, resp.Raw, resp.Result), nil
 }
 
 // peerFill asks the key-owner replica for key's canonical bytes and, on
@@ -515,7 +539,7 @@ func (s *Service) peerFill(ctx context.Context, key string, req PlanRequest) (*P
 		// The owner answered with bytes that are not this key's plan —
 		// version skew or corruption. Never cache the mismatch; search
 		// locally instead.
-		telemetry.Active().Counter("service.plan.peer_bad_fill").Add(1)
+		s.peerBadFills.Add(1)
 		return nil, nil
 	}
 	_, psp := obs.StartSpan(ctx, "store.persist")
@@ -537,7 +561,7 @@ func (s *Service) CommSummary(ctx context.Context, req PlanRequest, res *PlanRes
 	if res.Comm != nil {
 		return res.Comm, nil
 	}
-	prog, procs, _, err := s.prepare(req)
+	prog, procs, _, err := s.prepare(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -597,7 +621,7 @@ func (s *Service) Explain(req PlanRequest) (*PlanResponse, string, error) {
 	prev := telemetry.SetActive(reg)
 	defer telemetry.SetActive(prev)
 
-	prog, procs, strategy, err := s.prepare(req)
+	prog, procs, strategy, err := s.prepare(context.Background(), req)
 	if err != nil {
 		s.errors.Add(1)
 		return nil, "", err
@@ -614,8 +638,9 @@ func (s *Service) Explain(req PlanRequest) (*PlanResponse, string, error) {
 	return responseFromDecoded(key, "bypass", raw, dec), reg.FormatDecisionTrace(), nil
 }
 
-// prepare validates and parses the request.
-func (s *Service) prepare(req PlanRequest) (*Program, int, Strategy, error) {
+// prepare validates and parses the request, its parse and analyze spans
+// in ctx.
+func (s *Service) prepare(ctx context.Context, req PlanRequest) (*Program, int, Strategy, error) {
 	if req.Procs < 1 {
 		return nil, 0, 0, fmt.Errorf("looppart: procs must be >= 1 (got %d)", req.Procs)
 	}
@@ -636,8 +661,8 @@ func (s *Service) prepare(req PlanRequest) (*Program, int, Strategy, error) {
 		return nil, 0, 0, fmt.Errorf("looppart: strategy %q is not enabled (enabled: %s)",
 			name, strings.Join(enabled, ", "))
 	}
-	telemetry.Active().Counter("service.plan.strategy." + strategy.String()).Add(1)
-	prog, err := Parse(req.Source, req.Params)
+	s.byStrategy[strategy].Add(1)
+	prog, err := parse(ctx, req.Source, req.Params)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -652,7 +677,7 @@ func (s *Service) persist(key string, raw []byte) {
 		return
 	}
 	if err := s.store.Put(key, raw); err != nil {
-		telemetry.Active().Counter("service.store.put_errors").Add(1)
+		s.storeErrors.Add(1)
 	}
 }
 
@@ -662,7 +687,7 @@ func (s *Service) persist(key string, raw []byte) {
 // so a later Plan call for the same nest hits.
 func (s *Service) Tournament(req PlanRequest) (*autotune.Result, error) {
 	s.requests.Add(1)
-	prog, procs, strategy, err := s.prepare(req)
+	prog, procs, strategy, err := s.prepare(context.Background(), req)
 	if err != nil {
 		s.errors.Add(1)
 		return nil, err
@@ -672,7 +697,7 @@ func (s *Service) Tournament(req PlanRequest) (*autotune.Result, error) {
 		k = 4
 	}
 	s.searches.Add(1)
-	plan, res, err := prog.Autotune(procs, strategy, AutotuneOptions{
+	plan, res, err := prog.Autotune(context.Background(), procs, strategy, AutotuneOptions{
 		TopK: k, Fingerprint: s.fingerprint, CacheLines: s.autotuneCLines,
 	})
 	if err != nil {
@@ -702,7 +727,7 @@ func (s *Service) search(ctx context.Context, prog *Program, key string, procs i
 		err  error
 	)
 	if s.autotuneK > 0 {
-		plan, res, err = prog.AutotuneCtx(ctx, procs, strategy, AutotuneOptions{
+		plan, res, err = prog.Autotune(ctx, procs, strategy, AutotuneOptions{
 			TopK: s.autotuneK, Fingerprint: s.fingerprint, CacheLines: s.autotuneCLines,
 		})
 	} else {
@@ -748,7 +773,7 @@ func (s *Service) encode(ctx context.Context, plan *Plan, res *autotune.Result, 
 		if sum, err := plan.CommSummary(ctx); err == nil {
 			result.Comm = sum
 		} else {
-			telemetry.Active().Counter("service.plan.comm_errors").Add(1)
+			s.commErrors.Add(1)
 		}
 	}
 	switch {
@@ -813,15 +838,6 @@ func (s *Service) encode(ctx context.Context, plan *Plan, res *autotune.Result, 
 	raw := make([]byte, len(b))
 	copy(raw, b)
 	return raw, result, nil
-}
-
-// response decodes raw into a PlanResponse.
-func response(key, status string, raw []byte) (*PlanResponse, error) {
-	res := &PlanResult{}
-	if err := json.Unmarshal(raw, res); err != nil {
-		return nil, fmt.Errorf("looppart: corrupt cached plan for %s: %v", key, err)
-	}
-	return &PlanResponse{Key: key, Status: status, Raw: raw, Result: res}, nil
 }
 
 // responseFromDecoded builds a PlanResponse around an already-decoded

@@ -3,12 +3,15 @@ package looppart_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"looppart"
 	"looppart/internal/paperex"
+	"looppart/internal/telemetry"
 )
 
 var serviceNest = `
@@ -216,5 +219,95 @@ func TestServiceDecodedHitMatchesMiss(t *testing.T) {
 	}
 	if !bytes.Equal(miss.Raw, again.Raw) {
 		t.Error("raw bytes drifted across hits")
+	}
+}
+
+// TestServiceCountersAgree runs a mix of misses, hits, errors and
+// singleflight joins, then checks that the three views of the service's
+// counters agree: Stats(), the service.* gauges, and the *_total counters
+// of the registry's text exposition. Each event is counted once, by the
+// service, and the registry only reads it.
+func TestServiceCountersAgree(t *testing.T) {
+	svc := looppart.NewService(looppart.ServiceOptions{})
+	reg := telemetry.New()
+	reg.Collect(svc.Collect)
+	ctx := context.Background()
+	statuses := map[string]int64{}
+	var errs int64
+	plan := func(req looppart.PlanRequest) {
+		resp, err := svc.Plan(ctx, req)
+		if err != nil {
+			errs++
+			return
+		}
+		statuses[resp.Status]++
+	}
+
+	for procs := 2; procs <= 8; procs *= 2 {
+		req := looppart.PlanRequest{Source: serviceNest, Procs: procs, Strategy: "rect"}
+		plan(req) // miss
+		plan(req) // hit
+	}
+	plan(looppart.PlanRequest{Source: serviceNest, Procs: 4, Strategy: "nope"})
+	plan(looppart.PlanRequest{Source: "not a loop", Procs: 4})
+
+	// K identical requests for a slow skewed search, released together:
+	// one owns the flight, the rest join it.
+	const K = 8
+	slow := looppart.PlanRequest{
+		Source: "doall (i, 1, 32)\n doall (j, 1, 32)\n  doall (k, 1, 32)\n   A[i,j,k] = B[i-1,j,k+1] + B[i,j+1,k] + B[i+1,j-2,k-3]\n  enddoall\n enddoall\nenddoall",
+		Procs:  8, Strategy: "skewed",
+	}
+	resps := make([]*looppart.PlanResponse, K)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range resps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			resps[i], _ = svc.Plan(ctx, slow)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for _, r := range resps {
+		if r == nil {
+			t.Fatal("concurrent request failed")
+		}
+		statuses[r.Status]++
+	}
+	if statuses["dedup"] == 0 {
+		t.Fatalf("no request joined the slow flight: %v", statuses)
+	}
+
+	st := svc.Stats()
+	total := errs
+	for _, n := range statuses {
+		total += n
+	}
+	if st.Requests != total || st.Errors != errs || st.Searches != statuses["miss"] ||
+		st.CacheHits != statuses["hit"]+statuses["dedup"] {
+		t.Errorf("Stats() = %+v, want the served mix %v with %d errors", st, statuses, errs)
+	}
+	snap := reg.Snapshot()
+	if snap.Gauges["service.searches"] != float64(st.Searches) || snap.Gauges["service.cache_hits"] != float64(st.CacheHits) {
+		t.Errorf("service gauges %v disagree with Stats() %+v", snap.Gauges, st)
+	}
+	var text bytes.Buffer
+	if err := reg.WriteMetricsText(&text); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int64{
+		"service_plan_requests_total":  st.Requests,
+		"service_plan_errors_total":    st.Errors,
+		"service_plan_search_total":    st.Searches,
+		"service_plan_cache_hit_total": st.CacheHits,
+		"plancache_hits_total":         st.Cache.Hits,
+		"plancache_misses_total":       st.Cache.Misses,
+	} {
+		if line := fmt.Sprintf("\n%s %d\n", name, want); !strings.Contains(text.String(), line) {
+			t.Errorf("exposition lacks %q:\n%s", strings.TrimSpace(line), text.String())
+		}
 	}
 }
