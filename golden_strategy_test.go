@@ -14,7 +14,7 @@ import (
 	"looppart/internal/partition"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden strategy outputs")
+var updateGolden = flag.Bool("update", false, "rewrite the golden output files")
 
 // goldenStrategies are the legacy search strategies pinned byte-for-byte
 // across the Strategy-plugin refactor. Auto rides along because it
@@ -49,52 +49,59 @@ func goldenSkip(name string, strategy Strategy) bool {
 	return len(prog.Nest.DoallLoops()) > 2
 }
 
+// goldenSweep calls fn for every (example, strategy, procs) combination
+// of the golden sweep, examples in name order, skipping goldenSkip.
+func goldenSweep(strategies []Strategy, fn func(name string, strategy Strategy, procs int)) {
+	names := make([]string, 0, len(paperex.All))
+	for name := range paperex.All {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		for _, strategy := range strategies {
+			if goldenSkip(name, strategy) {
+				continue
+			}
+			for _, procs := range goldenProcs {
+				fn(name, strategy, procs)
+			}
+		}
+	}
+}
+
 // goldenCombos renders one deterministic record per (example, strategy,
 // procs): the plan's rendering (or the exact error text) plus the
 // canonical service JSON served for the same request. The fresh Service
 // per call keeps every record a true cache miss.
 func goldenCombos(t *testing.T) string {
 	t.Helper()
-	names := make([]string, 0, len(paperex.All))
-	for name := range paperex.All {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
 	var b strings.Builder
-	for _, name := range names {
-		for _, strategy := range goldenStrategies {
-			if goldenSkip(name, strategy) {
-				continue
-			}
-			for _, procs := range goldenProcs {
-				fmt.Fprintf(&b, "=== %s strategy=%s procs=%d ===\n", name, strategy, procs)
-				prog, err := Parse(paperex.All[name], goldenParams)
-				if err != nil {
-					fmt.Fprintf(&b, "parse error: %v\n", err)
-					continue
-				}
-				plan, err := prog.Partition(procs, strategy)
-				if err != nil {
-					fmt.Fprintf(&b, "error: %v\n", err)
-				} else {
-					fmt.Fprintf(&b, "plan: %s\n", plan)
-				}
-				svc := NewService(ServiceOptions{})
-				resp, err := svc.Plan(context.Background(), PlanRequest{
-					Source:   paperex.All[name],
-					Params:   goldenParams,
-					Procs:    procs,
-					Strategy: strategy.String(),
-				})
-				if err != nil {
-					fmt.Fprintf(&b, "service error: %v\n", err)
-				} else {
-					fmt.Fprintf(&b, "key: %s\njson: %s\n", resp.Key, resp.Raw)
-				}
-			}
+	goldenSweep(goldenStrategies, func(name string, strategy Strategy, procs int) {
+		fmt.Fprintf(&b, "=== %s strategy=%s procs=%d ===\n", name, strategy, procs)
+		prog, err := Parse(paperex.All[name], goldenParams)
+		if err != nil {
+			fmt.Fprintf(&b, "parse error: %v\n", err)
+			return
 		}
-	}
+		plan, err := prog.Partition(procs, strategy)
+		if err != nil {
+			fmt.Fprintf(&b, "error: %v\n", err)
+		} else {
+			fmt.Fprintf(&b, "plan: %s\n", plan)
+		}
+		svc := NewService(ServiceOptions{})
+		resp, err := svc.Plan(context.Background(), PlanRequest{
+			Source:   paperex.All[name],
+			Params:   goldenParams,
+			Procs:    procs,
+			Strategy: strategy.String(),
+		})
+		if err != nil {
+			fmt.Fprintf(&b, "service error: %v\n", err)
+		} else {
+			fmt.Fprintf(&b, "key: %s\njson: %s\n", resp.Key, resp.Raw)
+		}
+	})
 	return b.String()
 }
 
@@ -104,18 +111,24 @@ func goldenCombos(t *testing.T) string {
 // regenerate with `go test -run TestGoldenStrategyByteIdentity -update`
 // only for a deliberate output change.
 func TestGoldenStrategyByteIdentity(t *testing.T) {
-	got := goldenCombos(t)
+	checkGolden(t, goldenFile, goldenCombos(t))
+}
+
+// checkGolden compares got with the golden file, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, file, got string) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenFile), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenFile, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(file, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d bytes)", goldenFile, len(got))
+		t.Logf("rewrote %s (%d bytes)", file, len(got))
 		return
 	}
-	want, err := os.ReadFile(goldenFile)
+	want, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatalf("read golden (regenerate with -update): %v", err)
 	}
@@ -128,8 +141,8 @@ func TestGoldenStrategyByteIdentity(t *testing.T) {
 				break
 			}
 		}
-		t.Fatalf("strategy output diverged from golden at line %d:\n got: %q\nwant: %q",
-			diffLine+1, line(gl, diffLine), line(wl, diffLine))
+		t.Fatalf("output diverged from %s at line %d:\n got: %q\nwant: %q",
+			file, diffLine+1, line(gl, diffLine), line(wl, diffLine))
 	}
 }
 
@@ -144,51 +157,32 @@ func line(ls []string, i int) string {
 // at forced worker-pool sizes 1, 4, and GOMAXPROCS: the plan rendering
 // must be identical at every size (the engine's deterministic fold).
 func TestGoldenStrategyPoolSizeInvariance(t *testing.T) {
-	names := make([]string, 0, len(paperex.All))
-	for name := range paperex.All {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	type combo struct {
-		name     string
-		strategy Strategy
-		procs    int
-	}
-	render := func(c combo) string {
-		prog, err := Parse(paperex.All[c.name], goldenParams)
+	render := func(name string, strategy Strategy, procs int) string {
+		prog, err := Parse(paperex.All[name], goldenParams)
 		if err != nil {
 			return "parse error: " + err.Error()
 		}
-		plan, err := prog.Partition(c.procs, c.strategy)
+		plan, err := prog.Partition(procs, strategy)
 		if err != nil {
 			return "error: " + err.Error()
 		}
 		return plan.String()
 	}
 
-	for _, name := range names {
-		for _, strategy := range goldenStrategies {
-			if goldenSkip(name, strategy) {
+	goldenSweep(goldenStrategies, func(name string, strategy Strategy, procs int) {
+		var base string
+		for i, pool := range goldenPoolSizes {
+			prev := partition.SetSearchWorkers(pool)
+			out := render(name, strategy, procs)
+			partition.SetSearchWorkers(prev)
+			if i == 0 {
+				base = out
 				continue
 			}
-			for _, procs := range goldenProcs {
-				c := combo{name, strategy, procs}
-				var base string
-				for i, pool := range goldenPoolSizes {
-					prev := partition.SetSearchWorkers(pool)
-					out := render(c)
-					partition.SetSearchWorkers(prev)
-					if i == 0 {
-						base = out
-						continue
-					}
-					if out != base {
-						t.Fatalf("%s %s procs=%d: pool size %d diverged:\n got: %q\nwant: %q",
-							name, strategy, procs, pool, out, base)
-					}
-				}
+			if out != base {
+				t.Fatalf("%s %s procs=%d: pool size %d diverged:\n got: %q\nwant: %q",
+					name, strategy, procs, pool, out, base)
 			}
 		}
-	}
+	})
 }
