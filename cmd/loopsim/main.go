@@ -122,13 +122,17 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
+		imbalance, err := plan.LoadImbalance()
+		if err != nil {
+			return err
+		}
 		shape := "slabs"
 		if plan.Tile != nil {
 			shape = plan.Tile.String()
 		}
 		fmt.Fprintf(w, "%s\t%s\t%.1f\t%d\t%d\t%d\t%d\t%d\t%.2f\t%.0f\n",
 			s, shape, m.MissesPerProc(), m.ColdMisses, m.CoherenceMisses,
-			m.Invalidations, m.NetworkTraffic, m.SharedData, plan.LoadImbalance(), m.Cost)
+			m.Invalidations, m.NetworkTraffic, m.SharedData, imbalance, m.Cost)
 	}
 	if err := w.Flush(); err != nil {
 		return err

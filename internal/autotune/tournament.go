@@ -237,7 +237,7 @@ func RunTournament(ctx context.Context, a *footprint.Analysis, opts TournamentOp
 
 		cfg := fp.SimConfig(opts.Procs)
 		cfg.CacheLines = opts.CacheLines
-		cfg.ExpectedData = expectedData(predicted[rank], opts.Procs)
+		cfg.ExpectedData = cachesim.ExpectedData(predicted[rank], opts.Procs)
 		m, err := cachesim.New(cfg)
 		if err != nil {
 			return nil, err
@@ -334,21 +334,6 @@ func execCandidate(a *footprint.Analysis, procs int, assign func(p []int64) int)
 		return 0, err
 	}
 	return time.Since(start).Nanoseconds(), nil
-}
-
-// expectedData mirrors Plan.expectedData: presize the simulator from the
-// model's own prediction, capped so a mis-prediction cannot balloon
-// memory.
-func expectedData(predictedFootprint float64, procs int) int {
-	if predictedFootprint <= 0 {
-		return 0
-	}
-	n := predictedFootprint * float64(procs)
-	const maxHint = 1 << 20
-	if n > maxHint {
-		return maxHint
-	}
-	return int(n)
 }
 
 // SortedByMeasured returns candidate indices ordered by the measured

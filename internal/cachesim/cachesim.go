@@ -51,6 +51,22 @@ type Config struct {
 	MissCost func(proc int, datum string, atomic bool) (cost float64, hops int64)
 }
 
+// ExpectedData sizes Config.ExpectedData from the footprint model's
+// per-processor prediction: the footprint times the processor count
+// bounds the distinct data from above (sharing only shrinks it). The cap
+// keeps a mis-prediction from ballooning memory.
+func ExpectedData(predictedFootprint float64, procs int) int {
+	if predictedFootprint <= 0 {
+		return 0
+	}
+	n := predictedFootprint * float64(procs)
+	const maxHint = 1 << 20
+	if n > maxHint {
+		return maxHint
+	}
+	return int(n)
+}
+
 // DefaultConfig mirrors the paper's qualitative model: memory 20× a cache
 // hit, synchronizing traffic 1.5× ordinary memory traffic.
 func DefaultConfig(procs int) Config {
@@ -410,48 +426,27 @@ func DatumKey(array string, index []int64) string {
 // doall space, exposing steady-state coherence traffic, Figure 9).
 // assign maps a doall iteration point to its processor.
 func RunNest(m *Machine, n *loopir.Nest, assign func(p []int64) int) error {
-	vars := n.DoallVars()
-	seqLoops := n.SeqLoops()
+	return m.replay(n, assign, func(r loopir.MemRef) (int32, error) {
+		return m.internDatum(r.Array, r.Index), nil
+	})
+}
 
-	var runEpoch func(extra map[string]int64) error
-	runEpoch = func(extra map[string]int64) error {
-		var err error
-		p := make([]int64, len(vars))
-		n.ForEachIteration(extra, func(env map[string]int64) bool {
-			for k, v := range vars {
-				p[k] = env[v]
-			}
-			proc := assign(p)
-			if proc < 0 || proc >= m.cfg.Procs {
-				err = fmt.Errorf("cachesim: iteration %v assigned to processor %d of %d", p, proc, m.cfg.Procs)
-				return false
-			}
-			for _, mr := range n.TraceIteration(env) {
-				m.AccessDatum(proc, mr.Array, mr.Index, mr.Write, mr.Atomic)
-			}
-			return true
-		})
+// replay walks the nest's schedule on the machine; datum maps each
+// reference to the datum it touches.
+func (m *Machine) replay(n *loopir.Nest, assign func(p []int64) int, datum func(loopir.MemRef) (int32, error)) error {
+	s, err := loopir.NewSchedule(n, m.cfg.Procs, assign)
+	if err != nil {
 		return err
 	}
-
-	// Iterate the sequential loops as nested epochs.
-	var seq func(k int, extra map[string]int64) error
-	seq = func(k int, extra map[string]int64) error {
-		if k == len(seqLoops) {
-			return runEpoch(extra)
-		}
-		l := seqLoops[k]
-		for v := l.Lo; v <= l.Hi; v++ {
-			next := make(map[string]int64, len(extra)+1)
-			for kk, vv := range extra {
-				next[kk] = vv
+	s.Walk(func(proc int, env map[string]int64) bool {
+		for _, r := range n.TraceIteration(env) {
+			var id int32
+			if id, err = datum(r); err != nil {
+				return false
 			}
-			next[l.Var] = v
-			if err := seq(k+1, next); err != nil {
-				return err
-			}
+			m.access(proc, id, r.Write, r.Atomic)
 		}
-		return nil
-	}
-	return seq(0, map[string]int64{})
+		return true
+	})
+	return err
 }

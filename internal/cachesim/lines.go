@@ -17,53 +17,13 @@ import (
 // RunNestLines replays the nest like RunNest but at cache-line granularity
 // under the given memory map.
 func RunNestLines(m *Machine, n *loopir.Nest, assign func(p []int64) int, mm *layout.MemoryMap) error {
-	vars := n.DoallVars()
-	seqLoops := n.SeqLoops()
-
-	runEpoch := func(extra map[string]int64) error {
-		var err error
-		p := make([]int64, len(vars))
-		n.ForEachIteration(extra, func(env map[string]int64) bool {
-			for k, v := range vars {
-				p[k] = env[v]
-			}
-			proc := assign(p)
-			if proc < 0 || proc >= m.cfg.Procs {
-				err = fmt.Errorf("cachesim: iteration %v assigned to processor %d of %d", p, proc, m.cfg.Procs)
-				return false
-			}
-			for _, mr := range n.TraceIteration(env) {
-				line, lerr := mm.LineOf(mr.Array, mr.Index)
-				if lerr != nil {
-					err = lerr
-					return false
-				}
-				m.AccessLine(proc, line, mr.Write, mr.Atomic)
-			}
-			return true
-		})
-		return err
-	}
-
-	var seq func(k int, extra map[string]int64) error
-	seq = func(k int, extra map[string]int64) error {
-		if k == len(seqLoops) {
-			return runEpoch(extra)
+	return m.replay(n, assign, func(r loopir.MemRef) (int32, error) {
+		line, err := mm.LineOf(r.Array, r.Index)
+		if err != nil {
+			return 0, err
 		}
-		l := seqLoops[k]
-		for v := l.Lo; v <= l.Hi; v++ {
-			next := make(map[string]int64, len(extra)+1)
-			for kk, vv := range extra {
-				next[kk] = vv
-			}
-			next[l.Var] = v
-			if err := seq(k+1, next); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return seq(0, map[string]int64{})
+		return m.internLine(line), nil
+	})
 }
 
 // ReplayPoints replays the references of the given iteration points on one

@@ -12,6 +12,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"sync"
@@ -258,14 +259,6 @@ func evalExpr(e loopir.Expr, st Store, env map[string]int64) float64 {
 	}
 }
 
-// RunIteration executes the nest body for one iteration environment
-// against st. It is the single-iteration building block the
-// message-passing executor (internal/msgexec) uses to run each
-// processor's iterations against a private store.
-func RunIteration(n *loopir.Nest, st Store, env map[string]int64) {
-	runIteration(n, st, env)
-}
-
 // runIteration executes the body statements for one iteration.
 func runIteration(n *loopir.Nest, st Store, env map[string]int64) {
 	for _, s := range n.Body {
@@ -327,77 +320,49 @@ func sameRef(a, b loopir.Ref) bool {
 // RunSequential executes the nest in source order (the reference
 // semantics).
 func RunSequential(n *loopir.Nest, st Store) {
-	seqLoops := n.SeqLoops()
-	var seq func(k int, extra map[string]int64)
-	seq = func(k int, extra map[string]int64) {
-		if k == len(seqLoops) {
-			n.ForEachIteration(extra, func(env map[string]int64) bool {
-				runIteration(n, st, env)
-				return true
-			})
-			return
-		}
-		l := seqLoops[k]
-		for v := l.Lo; v <= l.Hi; v++ {
-			next := cloneEnv(extra)
-			next[l.Var] = v
-			seq(k+1, next)
-		}
-	}
-	seq(0, map[string]int64{})
+	// One processor owns every point, so the schedule cannot fail.
+	s, _ := loopir.NewSchedule(n, 1, func([]int64) int { return 0 })
+	s.Walk(func(_ int, env map[string]int64) bool {
+		runIteration(n, st, env)
+		return true
+	})
 }
 
 // RunParallel executes the nest with one goroutine per processor; assign
 // maps each doall iteration point to a processor. A barrier separates
 // doseq epochs. procs is the processor count.
 func RunParallel(n *loopir.Nest, st Store, procs int, assign func(p []int64) int) error {
-	if procs <= 0 {
-		return fmt.Errorf("exec: need at least one processor")
+	s, err := loopir.NewSchedule(n, procs, assign)
+	if err != nil {
+		return err
 	}
-	vars := n.DoallVars()
-
-	// Pre-split iterations per processor (once; reused across epochs).
-	work := make([][]map[string]int64, procs)
-	var bad error
-	n.ForEachIteration(nil, func(env map[string]int64) bool {
-		p := make([]int64, len(vars))
-		for k, v := range vars {
-			p[k] = env[v]
-		}
-		proc := assign(p)
-		if proc < 0 || proc >= procs {
-			bad = fmt.Errorf("exec: iteration %v assigned to processor %d of %d", p, proc, procs)
-			return false
-		}
-		work[proc] = append(work[proc], env)
-		return true
-	})
-	if bad != nil {
-		return bad
+	stores := make([]Store, procs)
+	for proc := range stores {
+		stores[proc] = st
 	}
+	RunTiles(s, stores, nil)
+	return nil
+}
 
+// RunTiles runs a schedule bulk-synchronously: in each doseq epoch, in
+// source order, every processor runs its tile's points in lexicographic
+// order on its own goroutine against stores[proc] (processors may share
+// a store), all meet at a barrier, and then after, when non-nil, runs
+// before the next epoch starts.
+func RunTiles(s *loopir.Schedule, stores []Store, after func()) {
 	reg := telemetry.Active()
 	if reg != nil {
-		// The iteration→processor split is fixed across epochs, so the
-		// load-imbalance ratio (max/mean iterations, 1.0 = perfect) is
-		// known before running.
-		var total, maxIters int64
-		for proc := 0; proc < procs; proc++ {
-			c := int64(len(work[proc]))
-			total += c
-			if c > maxIters {
-				maxIters = c
-			}
-			reg.Counter(fmt.Sprintf("exec.proc.%d.iterations", proc)).Add(c)
+		// The split is fixed across epochs, so the load-imbalance ratio
+		// is known before running.
+		for proc, tile := range s.Tiles {
+			reg.Counter(fmt.Sprintf("exec.proc.%d.iterations", proc)).Add(int64(len(tile)))
 		}
-		reg.Counter("exec.iterations").Add(total)
-		if total > 0 {
-			reg.Gauge("exec.load_imbalance").Set(float64(maxIters) * float64(procs) / float64(total))
-		}
+		reg.Counter("exec.iterations").Add(int64(len(s.Points)))
+		reg.Gauge("exec.load_imbalance").Set(s.LoadImbalance())
 	}
 
 	epoch := 0
-	runEpoch := func(extra map[string]int64) {
+	s.Epochs(func(seq map[string]int64) bool {
 		var wg sync.WaitGroup
 		// Executor spans open under the process trace (a CLI's -trace);
 		// each tile renders on its processor's track.
@@ -406,32 +371,27 @@ func RunParallel(n *loopir.Nest, st Store, procs int, assign func(p []int64) int
 		epochStart := time.Now()
 		var tileDur []time.Duration
 		if reg != nil {
-			tileDur = make([]time.Duration, procs)
+			tileDur = make([]time.Duration, len(s.Tiles))
 		}
-		for proc := 0; proc < procs; proc++ {
+		for proc, tile := range s.Tiles {
 			wg.Add(1)
-			go func(proc int, items []map[string]int64) {
+			go func() {
 				defer wg.Done()
 				_, sp := obs.StartSpan(ectx, "exec.tile")
 				sp.SetAttr("proc", proc)
 				sp.SetAttr("epoch", epoch)
-				sp.SetAttr("iters", len(items))
+				sp.SetAttr("iters", len(tile))
 				start := time.Now()
-				for _, env := range items {
-					full := env
-					if len(extra) > 0 {
-						full = cloneEnv(env)
-						for k, v := range extra {
-							full[k] = v
-						}
-					}
-					runIteration(n, st, full)
+				env := maps.Clone(seq)
+				for _, i := range tile {
+					s.Bind(env, i)
+					runIteration(s.Nest, stores[proc], env)
 				}
 				if tileDur != nil {
 					tileDur[proc] = time.Since(start)
 				}
 				sp.End()
-			}(proc, work[proc])
+			}()
 		}
 		wg.Wait() // barrier after the doall nest
 		epochSpan.End()
@@ -439,9 +399,9 @@ func RunParallel(n *loopir.Nest, st Store, procs int, assign func(p []int64) int
 			// Every processor waits at the barrier from its own finish
 			// until the slowest tile completes.
 			epochDur := time.Since(epochStart)
-			for proc := 0; proc < procs; proc++ {
-				reg.Histogram("exec.tile_wall_ns").Observe(tileDur[proc])
-				wait := epochDur - tileDur[proc]
+			for _, d := range tileDur {
+				reg.Histogram("exec.tile_wall_ns").Observe(d)
+				wait := epochDur - d
 				if wait < 0 {
 					wait = 0
 				}
@@ -450,30 +410,9 @@ func RunParallel(n *loopir.Nest, st Store, procs int, assign func(p []int64) int
 			reg.Counter("exec.epochs").Add(1)
 		}
 		epoch++
-	}
-
-	seqLoops := n.SeqLoops()
-	var seq func(k int, extra map[string]int64)
-	seq = func(k int, extra map[string]int64) {
-		if k == len(seqLoops) {
-			runEpoch(extra)
-			return
+		if after != nil {
+			after()
 		}
-		l := seqLoops[k]
-		for v := l.Lo; v <= l.Hi; v++ {
-			next := cloneEnv(extra)
-			next[l.Var] = v
-			seq(k+1, next)
-		}
-	}
-	seq(0, map[string]int64{})
-	return nil
-}
-
-func cloneEnv(env map[string]int64) map[string]int64 {
-	out := make(map[string]int64, len(env)+1)
-	for k, v := range env {
-		out[k] = v
-	}
-	return out
+		return true
+	})
 }

@@ -37,34 +37,34 @@ func (n *Nest) TraceIteration(env map[string]int64) []MemRef {
 // ForEachIteration enumerates every point of the doall iteration space
 // (sequential loops excluded) in lexicographic order, invoking fn with an
 // environment binding the doall variables. Returning false from fn stops
-// the walk. extra, if non-nil, supplies bindings for sequential-loop
-// variables and is merged into each environment.
-func (n *Nest) ForEachIteration(extra map[string]int64, fn func(env map[string]int64) bool) {
+// the walk.
+func (n *Nest) ForEachIteration(fn func(env map[string]int64) bool) {
 	loops := n.DoallLoops()
-	idx := make([]int64, len(loops))
-	for k, l := range loops {
-		idx[k] = l.Lo
-	}
-	for {
-		env := make(map[string]int64, len(loops)+len(extra))
-		for v, x := range extra {
-			env[v] = x
-		}
+	odometer(loops, func(p []int64) bool {
+		env := make(map[string]int64, len(loops))
 		for k, l := range loops {
-			env[l.Var] = idx[k]
+			env[l.Var] = p[k]
 		}
-		if !fn(env) {
-			return
-		}
-		// Advance odometer.
+		return fn(env)
+	})
+}
+
+// odometer calls fn with every point of the box the loops span, in
+// lexicographic order — one empty point when there are no loops. p is
+// reused between calls. Returning false from fn stops the walk.
+func odometer(loops []Loop, fn func(p []int64) bool) {
+	p := make([]int64, len(loops))
+	for k, l := range loops {
+		p[k] = l.Lo
+	}
+	for fn(p) {
 		k := len(loops) - 1
-		for k >= 0 {
-			idx[k]++
-			if idx[k] <= loops[k].Hi {
+		for ; k >= 0; k-- {
+			p[k]++
+			if p[k] <= loops[k].Hi {
 				break
 			}
-			idx[k] = loops[k].Lo
-			k--
+			p[k] = loops[k].Lo
 		}
 		if k < 0 {
 			return

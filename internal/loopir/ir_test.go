@@ -153,7 +153,7 @@ doall (i, 1, 3)
   enddoall
 enddoall`, nil)
 	var pts [][2]int64
-	n.ForEachIteration(nil, func(env map[string]int64) bool {
+	n.ForEachIteration(func(env map[string]int64) bool {
 		pts = append(pts, [2]int64{env["i"], env["j"]})
 		return true
 	})
@@ -168,28 +168,13 @@ enddoall`, nil)
 func TestForEachIterationEarlyStop(t *testing.T) {
 	n := MustParse(`doall (i, 1, 100) A[i] = 0 enddoall`, nil)
 	count := 0
-	n.ForEachIteration(nil, func(env map[string]int64) bool {
+	n.ForEachIteration(func(env map[string]int64) bool {
 		count++
 		return count < 5
 	})
 	if count != 5 {
 		t.Fatalf("count = %d", count)
 	}
-}
-
-func TestForEachIterationExtraEnv(t *testing.T) {
-	n := MustParse(`
-doseq (t, 1, 2)
-  doall (i, 1, 2)
-    A[i] = B[i]
-  enddoall
-enddoseq`, nil)
-	n.ForEachIteration(map[string]int64{"t": 7}, func(env map[string]int64) bool {
-		if env["t"] != 7 {
-			t.Fatalf("extra binding lost: %v", env)
-		}
-		return true
-	})
 }
 
 func TestLoopExtent(t *testing.T) {

@@ -22,7 +22,6 @@ package msgexec
 
 import (
 	"fmt"
-	"sync"
 
 	"looppart/internal/commsets"
 	"looppart/internal/exec"
@@ -54,6 +53,10 @@ func Run(n *loopir.Nest, assign func(p []int64) int, comm *commsets.Analysis) (*
 		return nil, err
 	}
 	procs := comm.Procs
+	s, err := loopir.NewSchedule(n, procs, assign)
+	if err != nil {
+		return nil, err
+	}
 
 	init, err := exec.StoreFor(n)
 	if err != nil {
@@ -81,53 +84,10 @@ func Run(n *loopir.Nest, assign func(p []int64) int, comm *commsets.Analysis) (*
 		locals[p] = cloneStore(init)
 	}
 
-	// Pre-split iterations per processor, in lexicographic order (the
-	// order the sequential run uses within an epoch).
-	vars := n.DoallVars()
-	work := make([][]map[string]int64, procs)
-	var bad error
-	n.ForEachIteration(nil, func(env map[string]int64) bool {
-		p := make([]int64, len(vars))
-		for k, v := range vars {
-			p[k] = env[v]
-		}
-		proc := assign(p)
-		if proc < 0 || proc >= procs {
-			bad = fmt.Errorf("msgexec: iteration %v assigned to processor %d of %d", p, proc, procs)
-			return false
-		}
-		work[proc] = append(work[proc], env)
-		return true
-	})
-	if bad != nil {
-		return nil, bad
-	}
-
 	rep := &Report{Procs: procs}
-	runEpoch := func(extra map[string]int64) {
-		var wg sync.WaitGroup
-		for proc := 0; proc < procs; proc++ {
-			wg.Add(1)
-			go func(proc int) {
-				defer wg.Done()
-				st := locals[proc]
-				for _, env := range work[proc] {
-					full := env
-					if len(extra) > 0 {
-						full = make(map[string]int64, len(env)+len(extra))
-						for k, v := range env {
-							full[k] = v
-						}
-						for k, v := range extra {
-							full[k] = v
-						}
-					}
-					exec.RunIteration(n, st, full)
-				}
-			}(proc)
-		}
-		wg.Wait()
-		// Exchange: producers push their fresh values to consumers.
+	// After each epoch's barrier, producers push their fresh values to
+	// consumers.
+	exec.RunTiles(s, locals, func() {
 		for _, t := range ex.Pairs {
 			src, dst := locals[t.From], locals[t.To]
 			for _, e := range t.Elems {
@@ -136,26 +96,7 @@ func Run(n *loopir.Nest, assign func(p []int64) int, comm *commsets.Analysis) (*
 			rep.WordsMoved += int64(len(t.Elems))
 		}
 		rep.Epochs++
-	}
-
-	seqLoops := n.SeqLoops()
-	var run func(k int, extra map[string]int64)
-	run = func(k int, extra map[string]int64) {
-		if k == len(seqLoops) {
-			runEpoch(extra)
-			return
-		}
-		l := seqLoops[k]
-		for v := l.Lo; v <= l.Hi; v++ {
-			next := make(map[string]int64, len(extra)+1)
-			for kk, vv := range extra {
-				next[kk] = vv
-			}
-			next[l.Var] = v
-			run(k+1, next)
-		}
-	}
-	run(0, map[string]int64{})
+	})
 
 	rep.PredictedWords = comm.TotalWords * int64(rep.Epochs)
 	if rep.WordsMoved != rep.PredictedWords {

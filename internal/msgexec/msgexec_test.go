@@ -7,6 +7,8 @@ import (
 	"looppart/internal/commsets"
 	"looppart/internal/footprint"
 	"looppart/internal/loopir"
+	"looppart/internal/obs"
+	"looppart/internal/telemetry"
 	"looppart/internal/tile"
 )
 
@@ -145,5 +147,40 @@ func TestRunRequiresMaterialized(t *testing.T) {
 	}
 	if _, err := Run(n, asg.ProcOf, comm); err == nil {
 		t.Fatalf("Run accepted a counts-only analysis")
+	}
+}
+
+// TestRunOnTheTileRunner: message-passing epochs run on exec.RunTiles,
+// so an installed trace sees one exec.epoch span per doseq epoch with a
+// tile span per processor, and the exec.* metrics count the run.
+func TestRunOnTheTileRunner(t *testing.T) {
+	reg := telemetry.New()
+	defer telemetry.SetActive(telemetry.SetActive(reg))
+	proc := obs.NewTrace("test", "test", reg)
+	defer obs.SetProcess(obs.SetProcess(proc))
+
+	const procs, epochs = 4, 3
+	n, assign, comm := plan(t, "doseq (s, 1, 3) doall (i, 0, 63) A[i] = A[i + 1] + B[i] enddoall enddoseq", tile.Rect(16), procs)
+	if _, err := Run(n, assign, comm); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["exec.epochs"]; got != epochs {
+		t.Errorf("exec.epochs = %d, want %d", got, epochs)
+	}
+	if got := snap.Counters["exec.iterations"]; got != 64 {
+		t.Errorf("exec.iterations = %d, want 64", got)
+	}
+	var epochSpans, tileSpans int
+	proc.Root().Snapshot().Walk(func(sp *obs.SpanSnapshot) {
+		switch sp.Name {
+		case "exec.epoch":
+			epochSpans++
+		case "exec.tile":
+			tileSpans++
+		}
+	})
+	if epochSpans != epochs || tileSpans != epochs*procs {
+		t.Errorf("spans: %d exec.epoch, %d exec.tile; want %d, %d", epochSpans, tileSpans, epochs, epochs*procs)
 	}
 }

@@ -172,7 +172,7 @@ func TestCommFreeVerifiedByEnumeration(t *testing.T) {
 	}
 	touched := map[string]map[string]int{} // array -> datum -> first slab
 	conflict := false
-	n.ForEachIteration(nil, func(env map[string]int64) bool {
+	n.ForEachIteration(func(env map[string]int64) bool {
 		p := []int64{env["i"], env["j"]}
 		slab := plan.SlabOf(p, 10)
 		for _, mr := range n.TraceIteration(env) {

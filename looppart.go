@@ -27,7 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"looppart/internal/cachesim"
 	"looppart/internal/datapart"
@@ -322,24 +322,20 @@ func (p *Plan) errSymbolicPlan() error {
 // Slab plans over skewed hyperplanes can be noticeably imbalanced — the
 // cost of communication-freedom that Figure 3's rectangular partitions
 // avoid.
-func (p *Plan) LoadImbalance() float64 {
-	counts := make([]int64, p.Procs)
-	var total int64
-	tile.BoundsOf(p.Program.Nest).ForEach(func(pt []int64) bool {
-		counts[p.assign(pt)]++
-		total++
-		return true
-	})
-	if total == 0 {
-		return 1
+func (p *Plan) LoadImbalance() (float64, error) {
+	s, err := p.schedule()
+	if err != nil {
+		return 0, err
 	}
-	var max int64
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
+	return s.LoadImbalance(), nil
+}
+
+// schedule splits the nest's iterations among the plan's processors.
+func (p *Plan) schedule() (*loopir.Schedule, error) {
+	if !p.Concrete() {
+		return nil, p.errSymbolicPlan()
 	}
-	return float64(max) * float64(p.Procs) / float64(total)
+	return loopir.NewSchedule(p.Program.Nest, p.Procs, p.assign)
 }
 
 // SimulateBlocked replays each processor's iterations in blocked subtile
@@ -348,58 +344,40 @@ func (p *Plan) LoadImbalance() float64 {
 // subtile extents; cacheLines bounds each cache (0 = infinite, where
 // ordering cannot matter).
 func (p *Plan) SimulateBlocked(subExt []int64, cacheLines int) (cachesim.Metrics, error) {
-	if !p.Concrete() {
-		return cachesim.Metrics{}, p.errSymbolicPlan()
-	}
-	space := tile.BoundsOf(p.Program.Nest)
-	subTiling, err := tile.RectTilingFor(space, subExt)
+	s, err := p.schedule()
 	if err != nil {
 		return cachesim.Metrics{}, err
 	}
-	// Group iterations per processor, ordered by subtile then
-	// lexicographic within the subtile.
-	type keyed struct {
-		key   []int64
-		point []int64
+	subTiling, err := tile.RectTilingFor(tile.BoundsOf(p.Program.Nest), subExt)
+	if err != nil {
+		return cachesim.Metrics{}, err
 	}
-	perProc := make([][]keyed, p.Procs)
-	space.ForEach(func(pt []int64) bool {
-		q := append([]int64(nil), pt...)
-		proc := p.assign(q)
-		perProc[proc] = append(perProc[proc], keyed{subTiling.Coord(q), q})
-		return true
-	})
 	cfg := cachesim.DefaultConfig(p.Procs)
 	cfg.CacheLines = cacheLines
-	cfg.ExpectedData = p.expectedData()
+	cfg.ExpectedData = cachesim.ExpectedData(p.PredictedFootprint, p.Procs)
 	m, err := cachesim.New(cfg)
 	if err != nil {
 		return cachesim.Metrics{}, err
 	}
-	for proc, items := range perProc {
-		sort.SliceStable(items, func(a, b int) bool {
-			return lexLess(items[a].key, items[b].key)
-		})
-		pts := make([][]int64, len(items))
-		for i, it := range items {
-			pts[i] = it.point
+	keys := make([][]int64, len(s.Points))
+	for i, pt := range s.Points {
+		keys[i] = subTiling.Coord(pt)
+	}
+	for proc, pts := range s.Tiles {
+		// Blocked order: by subtile, then lexicographically within it.
+		order := slices.Clone(pts)
+		slices.SortStableFunc(order, func(a, b int) int { return slices.Compare(keys[a], keys[b]) })
+		points := make([][]int64, len(order))
+		for k, i := range order {
+			points[k] = s.Points[i]
 		}
-		if err := cachesim.ReplayPoints(m, p.Program.Nest, proc, pts, nil); err != nil {
+		if err := cachesim.ReplayPoints(m, p.Program.Nest, proc, points, nil); err != nil {
 			return cachesim.Metrics{}, err
 		}
 	}
 	metrics := m.Finish()
 	metrics.Publish(telemetry.Active(), "simblocked."+p.Strategy.String()+".")
 	return metrics, nil
-}
-
-func lexLess(a, b []int64) bool {
-	for k := range a {
-		if a[k] != b[k] {
-			return a[k] < b[k]
-		}
-	}
-	return false
 }
 
 func (p *Plan) String() string {
@@ -433,7 +411,7 @@ func (p *Plan) Simulate(opts SimOptions) (cachesim.Metrics, error) {
 	defer sp.End()
 	cfg := cachesim.DefaultConfig(p.Procs)
 	cfg.CacheLines = opts.CacheLines
-	cfg.ExpectedData = p.expectedData()
+	cfg.ExpectedData = cachesim.ExpectedData(p.PredictedFootprint, p.Procs)
 	m, err := cachesim.New(cfg)
 	if err != nil {
 		return cachesim.Metrics{}, err
@@ -444,21 +422,6 @@ func (p *Plan) Simulate(opts SimOptions) (cachesim.Metrics, error) {
 	metrics := m.Finish()
 	metrics.Publish(telemetry.Active(), "sim."+p.Strategy.String()+".")
 	return metrics, nil
-}
-
-// expectedData predicts the number of distinct data a replay touches, for
-// presizing the simulator: the per-processor footprint times the processor
-// count bounds the distinct data from above (sharing only shrinks it).
-func (p *Plan) expectedData() int {
-	if p.PredictedFootprint <= 0 {
-		return 0
-	}
-	n := p.PredictedFootprint * float64(p.Procs)
-	const maxHint = 1 << 20 // don't let a mis-prediction balloon memory
-	if n > maxHint {
-		return maxHint
-	}
-	return int(n)
 }
 
 // MeshOptions parameterizes distributed-memory simulation (§4's Alewife
@@ -502,7 +465,7 @@ func (p *Plan) SimulateMesh(opts MeshOptions) (cachesim.Metrics, error) {
 	cost := machine.DefaultCostModel()
 	cfg := cachesim.DefaultConfig(p.Procs)
 	cfg.CacheLines = opts.CacheLines
-	cfg.ExpectedData = p.expectedData()
+	cfg.ExpectedData = cachesim.ExpectedData(p.PredictedFootprint, p.Procs)
 	cfg.MissCost = func(proc int, datum string, atomic bool) (float64, int64) {
 		arr, idx, err := ParseDatum(datum)
 		if err != nil {

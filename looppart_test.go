@@ -257,8 +257,8 @@ func TestLoadImbalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := plan.LoadImbalance(); got != 1.0 {
-		t.Fatalf("column strips imbalance = %v", got)
+	if got, err := plan.LoadImbalance(); err != nil || got != 1.0 {
+		t.Fatalf("column strips imbalance = %v, %v", got, err)
 	}
 	// A skewed comm-free slab plan on Example 8 is imbalanced.
 	prog8 := MustParse(paperex.Example8, map[string]int64{"N": 12})
@@ -266,8 +266,8 @@ func TestLoadImbalance(t *testing.T) {
 	if err != nil {
 		t.Skip("no comm-free plan at this size")
 	}
-	if got := cf.LoadImbalance(); got <= 1.0 {
-		t.Fatalf("skewed slabs should be imbalanced, got %v", got)
+	if got, err := cf.LoadImbalance(); err != nil || got <= 1.0 {
+		t.Fatalf("skewed slabs should be imbalanced, got %v, %v", got, err)
 	}
 }
 

@@ -119,6 +119,9 @@ enddoall
 	if err := plan.ExecuteOn(nil); err == nil {
 		t.Fatal("executing a symbolic plan must fail")
 	}
+	if _, err := plan.LoadImbalance(); err == nil {
+		t.Fatal("load imbalance of a symbolic plan must fail")
+	}
 
 	auto, err := prog.Partition(4, Auto)
 	if err != nil {

@@ -56,8 +56,12 @@ go test -fuzz=FuzzCommSets -fuzztime=10s -run '^$' ./internal/verify
 
 echo '== smoke: loopsim -commsets runs the message-passing executor =='
 # The executor itself enforces measured words == predicted; the smoke
-# checks the CLI surfaces both the table and the accounting line.
-commout=$(go run ./cmd/loopsim -procs 4 -param N=24 -param T=2 -commsets fig9stencil)
+# checks the CLI surfaces both the table and the accounting line, and
+# that the message-passing epochs run on the shared tile runner: its
+# trace holds exec.epoch and exec.tile spans beside the simulation's.
+commtrace=$(mktemp /tmp/loopsim-trace.XXXXXX.json)
+trap 'rm -f "$commtrace"' EXIT
+commout=$(go run ./cmd/loopsim -procs 4 -param N=24 -param T=2 -commsets -trace "$commtrace" fig9stencil)
 echo "$commout" | grep -q 'total words/epoch:' || {
 	echo 'verify: loopsim -commsets printed no send/receive table' >&2
 	exit 1
@@ -66,6 +70,13 @@ echo "$commout" | grep -q 'msgexec: .* moved' || {
 	echo 'verify: loopsim -commsets printed no msgexec accounting line' >&2
 	exit 1
 }
+for span in simulate.rect exec.epoch exec.tile; do
+	grep -q "\"name\":\"$span\",\"ph\":\"X\"" "$commtrace" || {
+		echo "verify: loopsim -commsets -trace lacks the $span span" >&2
+		exit 1
+	}
+done
+rm -f "$commtrace"
 
 echo '== smoke: looptune calibration recovers the machine fingerprint =='
 # The sim-calibrated fingerprint must agree with the model constants: the
