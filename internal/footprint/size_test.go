@@ -380,7 +380,7 @@ func BenchmarkExactEnumeration10x10(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pts := rectPoints([]int64{10, 10})
+	pts := tile.OriginPoints(tile.Rect(10, 10))
 	for i := 0; i < b.N; i++ {
 		_ = a.ExactTotalFootprint(pts)
 	}
@@ -411,7 +411,7 @@ enddoall`
 			}
 			// Anchor the tile inside the real iteration space so every
 			// subscript stays within the mapped arrays.
-			pts := rectPoints(ext)
+			pts := tile.OriginPoints(tile.Rect(ext...))
 			for _, p := range pts {
 				p[0] += 2
 				p[1] += 3
@@ -457,7 +457,7 @@ func TestUnitLineModelMatchesLinearized(t *testing.T) {
 
 func TestExactTotalAndArrayFootprint(t *testing.T) {
 	a := analyze(t, paperex.Example2, nil)
-	pts := rectPoints([]int64{10, 10})
+	pts := tile.OriginPoints(tile.Rect(10, 10))
 	// Anchor inside the space (subscripts are unconstrained here; exact
 	// enumeration works anywhere).
 	totalB := a.ExactArrayFootprint("B", pts)

@@ -184,13 +184,23 @@ func (m Mat) MulVec(v []int64) []int64 {
 	if len(v) != m.rows {
 		panic("intmat: MulVec length mismatch")
 	}
-	out := make([]int64, m.cols)
+	return m.MulVecInto(v, make([]int64, m.cols))
+}
+
+// MulVecInto is MulVec writing into out (len = Cols) and returning it, for
+// callers that stream many points through one buffer.
+func (m Mat) MulVecInto(v, out []int64) []int64 {
+	if len(v) != m.rows || len(out) != m.cols {
+		panic("intmat: MulVecInto length mismatch")
+	}
+	clear(out)
 	for i, vi := range v {
 		if vi == 0 {
 			continue
 		}
-		for j := 0; j < m.cols; j++ {
-			out[j] = rational.CheckedAddInt(out[j], rational.CheckedMulInt(vi, m.At(i, j)))
+		row := m.a[i*m.cols : (i+1)*m.cols]
+		for j, mij := range row {
+			out[j] = rational.CheckedAddInt(out[j], rational.CheckedMulInt(vi, mij))
 		}
 	}
 	return out
