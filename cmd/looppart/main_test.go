@@ -237,9 +237,13 @@ func TestServedPlanMatchesCLI(t *testing.T) {
 		if err := run(args, &cli); err != nil {
 			t.Fatalf("%s/%s: %v", tc.example, tc.strategy, err)
 		}
-		if !strings.Contains(cli.String(), resp.Result.Rendered) {
+		res, err := resp.Decode()
+		if err != nil {
+			t.Fatalf("%s/%s: %v", tc.example, tc.strategy, err)
+		}
+		if !strings.Contains(cli.String(), res.Rendered) {
 			t.Errorf("%s/%s: served plan %q not found in CLI output:\n%s",
-				tc.example, tc.strategy, resp.Result.Rendered, cli.String())
+				tc.example, tc.strategy, res.Rendered, cli.String())
 		}
 	}
 }

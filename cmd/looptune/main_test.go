@@ -93,8 +93,8 @@ func TestRunStorePersistsServablePlan(t *testing.T) {
 	if resp.Status != "hit" {
 		t.Errorf("stored plan served as %q, want hit", resp.Status)
 	}
-	if !resp.Result.Autotuned {
-		t.Error("stored plan not marked autotuned")
+	if res, err := resp.Decode(); err != nil || !res.Autotuned {
+		t.Errorf("stored plan not marked autotuned (decode error %v)", err)
 	}
 }
 

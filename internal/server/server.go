@@ -350,14 +350,20 @@ type commResponse struct {
 // service runs with CommSets on).
 func (s *Server) handleCommSets(w http.ResponseWriter, r *http.Request, req looppart.PlanRequest, resp *looppart.PlanResponse) {
 	reg := s.cfg.Registry
-	sum, err := s.cfg.Service.CommSummary(r.Context(), req, resp.Result)
+	res, err := resp.Decode()
+	if err != nil {
+		reg.Counter("server.errors").Add(1)
+		s.fail(w, r, http.StatusInternalServerError, err.Error())
+		return
+	}
+	sum, err := s.cfg.Service.CommSummary(r.Context(), req, res)
 	if err != nil {
 		reg.Counter("server.errors").Add(1)
 		s.fail(w, r, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
 	reg.Counter("server.commsets").Add(1)
-	lb, pct := s.cfg.Service.CommOptimality(req, resp.Result, sum.Words)
+	lb, pct := s.cfg.Service.CommOptimality(req, res, sum.Words)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Plancache", resp.Status)
 	json.NewEncoder(w).Encode(commResponse{Result: resp.Raw, Comm: sum, CommLowerBound: lb, CommOptimalityPct: pct})
@@ -377,8 +383,14 @@ type verifyResponse struct {
 // returned with 500.
 func (s *Server) handleVerified(w http.ResponseWriter, r *http.Request, req looppart.PlanRequest, resp *looppart.PlanResponse) {
 	reg := s.cfg.Registry
+	res, err := resp.Decode()
+	if err != nil {
+		reg.Counter("server.errors").Add(1)
+		s.fail(w, r, http.StatusInternalServerError, err.Error())
+		return
+	}
 	_, vsp := obs.StartSpan(r.Context(), "verify")
-	rep := s.cfg.Service.Verify(req, resp.Result)
+	rep := s.cfg.Service.Verify(req, res)
 	vsp.SetAttr("ok", rep.OK())
 	vsp.SetAttr("checks", len(rep.Checks))
 	vsp.End()
