@@ -147,17 +147,25 @@ func BenchmarkRectSearch(b *testing.B) {
 }
 
 func BenchmarkSkewSearch(b *testing.B) {
-	a := benchAnalysis(b, paperex.Example8, map[string]int64{"N": 24})
-	for _, procs := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("P=%d", procs), func(b *testing.B) {
+	skew := func(a *footprint.Analysis, procs int) func(b *testing.B) {
+		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := partition.OptimizeSkew(context.Background(), a, procs, 2); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
+		}
 	}
+	// Example 8's reduced Gs are square: every candidate takes Theorem
+	// 2's closed form.
+	a := benchAnalysis(b, paperex.Example8, map[string]int64{"N": 24})
+	for _, procs := range []int{16, 64, 256} {
+		b.Run(fmt.Sprintf("P=%d", procs), skew(a, procs))
+	}
+	// matmul's A[i,k], B[k,j] and C[i,j] project the 3-D space onto 2-D:
+	// every candidate is scored by exact enumeration of its tile points.
+	b.Run("matmulsync/P=16", skew(benchAnalysis(b, paperex.MatmulSync, map[string]int64{"N": 12}), 16))
 }
 
 func BenchmarkCachesimReplay(b *testing.B) {

@@ -56,7 +56,9 @@ func TestFactorizationsCountPinned(t *testing.T) {
 }
 
 // searchCases are the paper-example analyses the engine tests sweep —
-// E5/E7/E8's nests at their experiment parameters.
+// E5/E7/E8's nests at their experiment parameters, plus matmul, whose
+// projecting classes (non-square reduced G) the skewed search scores by
+// exact tile enumeration on the concurrent workers.
 func searchCases(t *testing.T) map[string]struct {
 	src    string
 	params map[string]int64
@@ -68,9 +70,10 @@ func searchCases(t *testing.T) map[string]struct {
 		params map[string]int64
 		procs  int
 	}{
-		"example8":  {paperex.Example8, map[string]int64{"N": 24}, 8},
-		"example9":  {paperex.Example9, map[string]int64{"N": 24}, 8},
-		"example10": {paperex.Example10, map[string]int64{"N": 36}, 6},
+		"example8":   {paperex.Example8, map[string]int64{"N": 24}, 8},
+		"example9":   {paperex.Example9, map[string]int64{"N": 24}, 8},
+		"example10":  {paperex.Example10, map[string]int64{"N": 36}, 6},
+		"matmulsync": {paperex.MatmulSync, map[string]int64{"N": 8}, 16},
 	}
 }
 
