@@ -11,6 +11,7 @@ import (
 
 	"looppart"
 	"looppart/internal/paperex"
+	"looppart/internal/partition"
 )
 
 func TestRunExample2(t *testing.T) {
@@ -139,6 +140,29 @@ func TestRunExplainPrintsDecisionTrace(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in -explain output", want)
 		}
+	}
+}
+
+// TestExplainMatchesService pins -explain's decision-trace section to the
+// trace Service.Explain returns for the same request.
+func TestExplainMatchesService(t *testing.T) {
+	defer partition.SetSearchWorkers(partition.SetSearchWorkers(1))
+	var b strings.Builder
+	if err := run([]string{"-procs", "16", "-param", "N=24", "-explain", "-strategy", "rect", "example8"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(b.String(), "=== decision trace ===\n")
+	if !ok {
+		t.Fatalf("no decision trace in:\n%s", b.String())
+	}
+	_, trace, err := looppart.NewService(looppart.ServiceOptions{}).Explain(looppart.PlanRequest{
+		Source: paperex.All["example8"], Params: map[string]int64{"N": 24, "T": 4}, Procs: 16, Strategy: "rect",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if section != trace {
+		t.Errorf("-explain trace differs from Service.Explain:\n got: %s\nwant: %s", section, trace)
 	}
 }
 
