@@ -4,7 +4,7 @@ import (
 	"context"
 
 	"looppart/internal/autotune"
-	"looppart/internal/telemetry"
+	"looppart/internal/obs"
 )
 
 // AutotuneOptions parameterizes Program.Autotune.
@@ -37,18 +37,19 @@ type AutotuneOptions struct {
 // they fall through to Partition with a nil Result.
 //
 // The tournament records a "tournament" span in ctx (candidates, winner
-// rank, measured misses).
+// rank, measured misses), and its candidates are decision events in
+// ctx's event log.
 func (pr *Program) Autotune(ctx context.Context, procs int, strategy Strategy, opts AutotuneOptions) (*Plan, *autotune.Result, error) {
-	reg := telemetry.Active()
 	switch strategy {
 	case Auto:
+		log := obs.EventsFrom(ctx)
 		if plan, err := pr.PartitionCtx(ctx, procs, CommFree); err == nil {
-			reg.Emit("strategy.auto", "comm-free", map[string]any{
+			log.Emit("strategy.auto", "comm-free", map[string]any{
 				"reason": "a communication-free hyperplane partition exists; no tournament needed",
 			})
 			return plan, nil, nil
 		}
-		reg.Emit("strategy.auto", "rect", map[string]any{
+		log.Emit("strategy.auto", "rect", map[string]any{
 			"reason": "no communication-free partition; tournament over footprint-optimal rectangles",
 		})
 		return pr.Autotune(ctx, procs, Rect, opts)

@@ -157,7 +157,7 @@ func TestServiceAutotuneMode(t *testing.T) {
 func TestServiceTournamentOnDemand(t *testing.T) {
 	svc := looppart.NewService(looppart.ServiceOptions{})
 	req := looppart.PlanRequest{Source: serviceNest, Procs: 16, Strategy: "rect"}
-	res, err := svc.Tournament(req)
+	res, err := svc.Tournament(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

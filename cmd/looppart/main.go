@@ -102,16 +102,13 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown strategy %q", *strategyName)
 	}
 
-	// -explain needs the decision trace even without an output file, so it
-	// too turns the registry on.
-	reg, err := obs.Setup("looppart")
+	// -explain prints the decision events the process trace records, so
+	// it installs one even without -trace.
+	reg, err := obs.Setup("looppart", *explain)
 	if err != nil {
 		return err
 	}
 	defer obs.Close()
-	if reg == nil && *explain {
-		reg = telemetry.New()
-	}
 	prev := telemetry.SetActive(reg)
 	defer telemetry.SetActive(prev)
 
@@ -138,7 +135,7 @@ func run(args []string, out io.Writer) error {
 			sum.Words, sum.MaxSent, sum.MeanSent, sum.Method)
 	}
 
-	if reg != nil {
+	if reg != nil || *explain {
 		// Simulate under the chosen plan so the trace and metrics dump
 		// carry the miss counters the model predicted.
 		m, err := plan.Simulate(looppart.SimOptions{})
@@ -150,7 +147,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if *explain {
 		fmt.Fprintln(out, "\n=== decision trace ===")
-		fmt.Fprint(out, reg.FormatDecisionTrace())
+		fmt.Fprint(out, obs.Events().FormatDecisionTrace())
 	}
 	if err := obs.Flush(reg); err != nil {
 		return err

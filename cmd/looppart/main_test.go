@@ -155,7 +155,7 @@ func TestExplainMatchesService(t *testing.T) {
 	if !ok {
 		t.Fatalf("no decision trace in:\n%s", b.String())
 	}
-	_, trace, err := looppart.NewService(looppart.ServiceOptions{}).Explain(looppart.PlanRequest{
+	_, trace, err := looppart.NewService(looppart.ServiceOptions{}).Explain(context.Background(), looppart.PlanRequest{
 		Source: paperex.All["example8"], Params: map[string]int64{"N": 24, "T": 4}, Procs: 16, Strategy: "rect",
 	})
 	if err != nil {

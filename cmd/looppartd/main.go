@@ -56,9 +56,9 @@
 //	-reqlog DEST       structured JSON request log (one line per request,
 //	                   keyed by trace ID): stderr (default), stdout, a
 //	                   file path, or empty to disable
-//	-event-cap N       retained decision events (default 16384)
 //	-trace FILE        on shutdown, write the flight recorder's request
-//	                   span trees as a Chrome trace
+//	                   span trees as a Chrome trace (serving records no
+//	                   decision events: ?explain=1 returns its own)
 //	-metrics FILE      write a metrics dump on shutdown
 //	-pprof ADDR        serve net/http/pprof on ADDR
 //
@@ -207,7 +207,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	peerHedge := fs.Duration("peer-hedge", cluster.DefaultHedgeDelay, "duplicate a slow peer fill after this delay (negative = no hedging)")
 	hotKeys := fs.Int("hot-keys", 0, "pin the N hottest plans in a lock-free tier above the LRU (0 = off)")
 	quotaSpec := fs.String("quota", "", "per-tenant rate limit RATE[:BURST] requests/second (empty = off)")
-	eventCap := fs.Int("event-cap", 16384, "retained decision events (0 = unbounded)")
 	var sloSpecs sloFlags
 	fs.Var(&sloSpecs, "slo", "latency objective ROUTE=LATENCY[@TARGET], e.g. /v1/plan=250ms@0.99 (repeatable)")
 	flightrecN := fs.Int("flightrec", obs.DefaultRecorderSize, "flight-recorder ring size (last N requests)")
@@ -248,7 +247,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	// No process trace: every request carries its own, and -trace writes
 	// the flight recorder's request trees.
-	reg, err := obsFlags.Setup("")
+	reg, err := obsFlags.Setup("", false)
 	if err != nil {
 		return err
 	}
@@ -256,7 +255,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		// The daemon always runs with telemetry on: /metrics serves it.
 		reg = telemetry.New()
 	}
-	reg.SetEventCap(*eventCap)
 	prev := telemetry.SetActive(reg)
 	defer telemetry.SetActive(prev)
 

@@ -79,7 +79,7 @@ func run(args []string, out io.Writer) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("expected one program file, example name, or - for stdin")
 	}
-	reg, err := obs.Setup("loopsim")
+	reg, err := obs.Setup("loopsim", false)
 	if err != nil {
 		return err
 	}

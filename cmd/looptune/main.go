@@ -89,7 +89,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	reg, err := obs.Setup("looptune")
+	reg, err := obs.Setup("looptune", false)
 	if err != nil {
 		return err
 	}

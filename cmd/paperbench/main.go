@@ -51,7 +51,7 @@ func run(args []string, in io.Reader, out io.Writer) (int, error) {
 		return 2, err
 	}
 
-	reg, err := obs.Setup("paperbench")
+	reg, err := obs.Setup("paperbench", false)
 	if err != nil {
 		return 2, err
 	}

@@ -1,6 +1,7 @@
 package looppart
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -37,7 +38,7 @@ func TestGoldenExplain(t *testing.T) {
 // explain a true search.
 func writeExplainRecord(b *strings.Builder, opts ServiceOptions, name string, strategy Strategy, procs int) {
 	fmt.Fprintf(b, "=== %s strategy=%s procs=%d autotune=%d ===\n", name, strategy, procs, opts.AutotuneK)
-	resp, trace, err := NewService(opts).Explain(PlanRequest{
+	resp, trace, err := NewService(opts).Explain(context.Background(), PlanRequest{
 		Source:   paperex.All[name],
 		Params:   goldenExplainParams,
 		Procs:    procs,

@@ -149,7 +149,7 @@ func (s *Store) load(name, wantKey string) ([]byte, bool) {
 	}
 	var ent storeEntry
 	if err := json.Unmarshal(data, &ent); err != nil {
-		s.quarantine(name, fmt.Sprintf("unparseable: %v", err))
+		s.quarantine(name)
 		return nil, false
 	}
 	if ent.Schema != StoreSchema || ent.Fingerprint.ID() != s.fp.ID() {
@@ -157,18 +157,19 @@ func (s *Store) load(name, wantKey string) ([]byte, bool) {
 		return nil, false
 	}
 	if wantKey != "" && ent.Key != wantKey {
-		s.quarantine(name, "key mismatch")
+		s.quarantine(name)
 		return nil, false
 	}
 	if valueSum(ent.Value) != ent.Sum {
-		s.quarantine(name, "integrity sum mismatch")
+		s.quarantine(name)
 		return nil, false
 	}
 	return []byte(ent.Value), true
 }
 
-// quarantine moves a corrupt entry aside and counts it.
-func (s *Store) quarantine(name, reason string) {
+// quarantine moves a corrupt entry aside, where it stays as evidence,
+// and counts it.
+func (s *Store) quarantine(name string) {
 	qdir := filepath.Join(s.dir, quarantineDir)
 	if err := os.MkdirAll(qdir, 0o755); err == nil {
 		_ = os.Rename(filepath.Join(s.dir, name), filepath.Join(qdir, name))
@@ -176,7 +177,6 @@ func (s *Store) quarantine(name, reason string) {
 	s.mu.Lock()
 	s.quarantined++
 	s.mu.Unlock()
-	telemetry.Active().Emit("autotune.store.quarantine", name, map[string]any{"reason": reason})
 }
 
 // Each calls fn for every valid entry of this store's fingerprint and
@@ -199,14 +199,14 @@ func (s *Store) Each(fn func(key string, val []byte)) error {
 		}
 		var ent storeEntry
 		if err := json.Unmarshal(data, &ent); err != nil {
-			s.quarantine(de.Name(), fmt.Sprintf("unparseable: %v", err))
+			s.quarantine(de.Name())
 			continue
 		}
 		if ent.Schema != StoreSchema || ent.Fingerprint.ID() != s.fp.ID() {
 			continue
 		}
 		if valueSum(ent.Value) != ent.Sum {
-			s.quarantine(de.Name(), "integrity sum mismatch")
+			s.quarantine(de.Name())
 			continue
 		}
 		fn(ent.Key, []byte(ent.Value))

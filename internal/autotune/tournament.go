@@ -206,6 +206,7 @@ func RunTournament(ctx context.Context, a *footprint.Analysis, opts TournamentOp
 	}
 
 	reg := telemetry.Active()
+	log := obs.EventsFrom(ctx)
 	res := &Result{Fingerprint: fp, Strategy: opts.Strategy, Procs: opts.Procs, CacheLines: opts.CacheLines}
 	if opts.Strategy == "rect" || opts.Strategy == "lowerbound" {
 		// Both strategies contest only rectangular-grid tiles — the family
@@ -282,7 +283,7 @@ func RunTournament(ctx context.Context, a *footprint.Analysis, opts TournamentOp
 			c.ExecNs = ns
 		}
 		res.Candidates = append(res.Candidates, c)
-		reg.Emit("autotune.tournament.candidate", c.TileDesc, map[string]any{
+		log.Emit("autotune.tournament.candidate", c.TileDesc, map[string]any{
 			"rank":      rank,
 			"predicted": c.PredictedFootprint,
 			"measured":  c.MissesPerProc,
@@ -305,7 +306,7 @@ func RunTournament(ctx context.Context, a *footprint.Analysis, opts TournamentOp
 		}
 	}
 	w := res.WinnerCandidate()
-	reg.Emit("autotune.tournament.chosen", w.TileDesc, map[string]any{
+	log.Emit("autotune.tournament.chosen", w.TileDesc, map[string]any{
 		"rank":       w.Rank,
 		"misses":     w.MeasuredMisses,
 		"improved":   res.Improved(),

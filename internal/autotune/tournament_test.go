@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"looppart/internal/footprint"
+	"looppart/internal/obs"
 	"looppart/internal/paperex"
 	"looppart/internal/partition"
-	"looppart/internal/telemetry"
 )
 
 func analysisFor(t *testing.T, src string, params map[string]int64) *footprint.Analysis {
@@ -172,16 +172,13 @@ func TestTournamentExecAndReport(t *testing.T) {
 }
 
 func TestTournamentEmitsDecisionTrace(t *testing.T) {
-	reg := telemetry.New()
-	prev := telemetry.SetActive(reg)
-	defer telemetry.SetActive(prev)
-
+	log := obs.NewEventLog()
 	a := analysisFor(t, paperex.Example8, map[string]int64{"N": 8})
-	if _, err := RunTournament(context.Background(), a, TournamentOptions{Procs: 2, K: 2}); err != nil {
+	if _, err := RunTournament(obs.WithEvents(context.Background(), log), a, TournamentOptions{Procs: 2, K: 2}); err != nil {
 		t.Fatal(err)
 	}
 	var cand, chosen int
-	for _, ev := range reg.Events() {
+	for _, ev := range log.Events() {
 		switch ev.Kind {
 		case "autotune.tournament.candidate":
 			cand++

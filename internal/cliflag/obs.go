@@ -38,11 +38,12 @@ func (o *Obs) Enabled() bool { return o.TracePath != "" || o.MetricsPath != "" }
 
 // Setup starts the pprof listener if requested and, when any telemetry
 // output is enabled, returns a fresh registry for the caller to install
-// with telemetry.SetActive (nil when telemetry stays off). With -trace
-// and a non-empty process name it also installs an uncapped process
-// trace of that name, so library calls without a context record their
-// spans; Close uninstalls it.
-func (o *Obs) Setup(process string) (*telemetry.Registry, error) {
+// with telemetry.SetActive (nil when telemetry stays off). With a
+// non-empty process name and -trace, or explain set, it also installs an
+// uncapped process trace of that name, so library calls without a
+// context record their spans and decision events (Events); Close
+// uninstalls it.
+func (o *Obs) Setup(process string, explain bool) (*telemetry.Registry, error) {
 	if o.PprofAddr != "" {
 		addr, err := telemetry.StartPprof(o.PprofAddr)
 		if err != nil {
@@ -50,17 +51,22 @@ func (o *Obs) Setup(process string) (*telemetry.Registry, error) {
 		}
 		fmt.Fprintf(os.Stderr, "pprof: serving on http://%s/debug/pprof\n", addr)
 	}
-	if !o.Enabled() {
-		return nil, nil
+	var reg *telemetry.Registry
+	if o.Enabled() {
+		reg = telemetry.New()
 	}
-	reg := telemetry.New()
-	if o.TracePath != "" && process != "" {
+	if (o.TracePath != "" || explain) && process != "" {
 		o.process = obs.NewTrace(process, process, reg)
 		o.process.SetCaps(math.MaxInt32, 0)
+		o.process.RecordEvents()
 		o.prev = obs.SetProcess(o.process)
 	}
 	return reg, nil
 }
+
+// Events returns the decision events the process trace records (nil
+// when Setup installed none).
+func (o *Obs) Events() *obs.EventLog { return o.process.Events() }
 
 // Close restores the process trace Setup replaced.
 func (o *Obs) Close() {
@@ -71,14 +77,14 @@ func (o *Obs) Close() {
 }
 
 // Flush writes the requested output files: the Chrome trace from the
-// process trace's spans plus records (a daemon's request trees), and the
-// metrics dump from reg. The process trace's root ends first, so the
-// dump carries its latency too. Safe to call with a nil registry (writes
-// empty but valid files if paths were given).
+// process trace's spans and decision events plus records (a daemon's
+// request trees), and the metrics dump from reg. The process trace's
+// root ends first, so the dump carries its latency too. Safe to call
+// with a nil registry (writes empty but valid files if paths were given).
 func (o *Obs) Flush(reg *telemetry.Registry, records ...*obs.Record) error {
 	if tr := o.process; tr != nil {
 		tr.Root().End()
-		records = append([]*obs.Record{{TraceID: tr.ID(), Start: tr.Start(), Spans: tr.Root().Snapshot()}}, records...)
+		records = append([]*obs.Record{{TraceID: tr.ID(), Start: tr.Start(), Spans: tr.Root().Snapshot(), Events: tr.Events().Events()}}, records...)
 	}
 	if o.TracePath != "" {
 		if err := writeFile(o.TracePath, func(w io.Writer) error { return obs.WriteChromeTrace(w, records, reg) }); err != nil {

@@ -120,13 +120,12 @@ func RunAll(ids []string, reg *telemetry.Registry) ([]Result, error) {
 	}
 	results := make([]Result, 0, len(selected))
 	for _, e := range selected {
-		before, eventsBefore := reg.Snapshot(), len(reg.Events())
+		before := reg.Snapshot()
 		_, sp := obs.StartSpan(context.Background(), "experiment."+e.ID)
 		r := e.Run()
 		sp.End()
 		if reg != nil {
 			delta := reg.Snapshot().Delta(before)
-			delta.Counters["telemetry.events"] = int64(len(reg.Events()) - eventsBefore)
 			r.Telemetry = &delta
 			reg.Counter("experiments.run").Add(1)
 			if r.Pass {

@@ -16,9 +16,9 @@ import (
 // process i+1, named after its route and trace ID. A span carrying an int
 // "proc" attribute (the executor's per-processor tiles) renders on that
 // processor's track (tid proc+1), every other span on the record's
-// pipeline track (tid 0). The registry's decision events (ph "i") and
-// final counter values (ph "C") render as process 0. Timestamps count
-// from the earliest record or registry start.
+// pipeline track (tid 0), as do the record's decision events (ph "i").
+// The registry's final counter values (ph "C") render as process 0.
+// Timestamps count from the earliest record.
 
 // traceEvent is one record of the Chrome trace-event JSON array.
 type traceEvent struct {
@@ -32,12 +32,12 @@ type traceEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// WriteChromeTrace writes records' span trees, plus reg's decision events
-// and counters (reg may be nil), as one Chrome trace-event JSON array.
+// WriteChromeTrace writes records' span trees and decision events, plus
+// reg's counters (reg may be nil), as one Chrome trace-event JSON array.
 func WriteChromeTrace(w io.Writer, records []*Record, reg *telemetry.Registry) error {
-	base := reg.Start()
+	base := time.Now()
 	for _, rec := range records {
-		if base.IsZero() || rec.Start.Before(base) {
+		if rec.Start.Before(base) {
 			base = rec.Start
 		}
 	}
@@ -63,6 +63,12 @@ func WriteChromeTrace(w io.Writer, records []*Record, reg *telemetry.Registry) e
 				PID: pid, TID: proc + 1, Args: s.Attrs,
 			})
 		})
+		for _, ev := range rec.Events {
+			evs = append(evs, traceEvent{
+				Name: ev.Kind + ":" + ev.Name, Phase: "i", TS: us(rec.Start, ev.Time),
+				PID: pid, Scope: "t", Args: ev.Fields,
+			})
+		}
 		name := rec.TraceID
 		if rec.Route != "" {
 			name = rec.Route + " " + rec.TraceID
@@ -82,12 +88,6 @@ func WriteChromeTrace(w io.Writer, records []*Record, reg *telemetry.Registry) e
 		}
 	}
 	if reg != nil {
-		for _, ev := range reg.Events() {
-			evs = append(evs, traceEvent{
-				Name: ev.Kind + ":" + ev.Name, Phase: "i", TS: us(reg.Start(), ev.Time),
-				Scope: "t", Args: ev.Fields,
-			})
-		}
 		snap := reg.Snapshot()
 		ts := us(time.Now(), 0)
 		names := make([]string, 0, len(snap.Counters))

@@ -56,18 +56,18 @@ func TestProcessTraceCatchesCtxlessSpans(t *testing.T) {
 func TestChromeTraceShape(t *testing.T) {
 	reg := telemetry.New()
 	tr := NewTrace("cli", "looppart", reg)
-	ctx := WithTrace(context.Background(), tr)
+	ctx := WithEvents(WithTrace(context.Background(), tr), tr.RecordEvents())
 	_, sp := StartSpan(ctx, "exec.tile")
 	sp.SetAttr("proc", 3)
 	sp.SetAttr("iters", 42)
 	sp.End()
 	_, sp = StartSpan(ctx, "parse")
 	sp.End()
-	reg.Emit("partition.rect", "candidate", map[string]any{"footprint": 104.0})
+	EventsFrom(ctx).Emit("partition.rect", "candidate", map[string]any{"footprint": 104.0})
 	reg.Counter("sim.misses").Add(5)
 	tr.Root().End()
 
-	rec := &Record{TraceID: tr.ID(), Start: tr.Start(), Spans: tr.Root().Snapshot()}
+	rec := &Record{TraceID: tr.ID(), Start: tr.Start(), Spans: tr.Root().Snapshot(), Events: tr.Events().Events()}
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, []*Record{rec}, reg); err != nil {
 		t.Fatal(err)
@@ -100,8 +100,8 @@ func TestChromeTraceShape(t *testing.T) {
 				}
 			}
 		case "i":
-			if ev["name"] != "partition.rect:candidate" {
-				t.Errorf("instant event name = %v", ev["name"])
+			if ev["name"] != "partition.rect:candidate" || ev["pid"] != float64(1) || ev["tid"] != float64(0) {
+				t.Errorf("instant event not on the record's pipeline track: %v", ev)
 			}
 		case "M":
 			if args, ok := ev["args"].(map[string]any); ok {

@@ -18,6 +18,11 @@
 // CLI's -trace installs; WriteChromeTrace renders records as one Chrome
 // trace-event file.
 //
+// Decision events (why a search chose its shape) ride the context the
+// same way (event.go): an explained request installs an EventLog with
+// WithEvents, a CLI's process trace carries one for ctx-less calls, and
+// a served request carries none, so serving builds no events.
+//
 // Everything is nil-safe in the telemetry idiom: code instrumented with
 // StartSpan pays one context lookup and one atomic load when no trace is
 // installed, so the embedded Service and the CLIs run untraced at full
@@ -33,11 +38,10 @@ import (
 	"looppart/internal/telemetry"
 )
 
-// Bounds in the telemetry event-cap idiom: a trace that lives as long as one
-// request still must not grow without limit when a pathological request
-// fans out (a 256-item batch opens spans per item), so spans per trace
-// and attributes per span are capped, with drops counted and surfaced on
-// the flight record.
+// Bounds: a trace that lives as long as one request still must not grow
+// without limit when a pathological request fans out (a 256-item batch
+// opens spans per item), so spans per trace and attributes per span are
+// capped, with drops counted and surfaced on the flight record.
 const (
 	// DefaultMaxSpans bounds the spans recorded per trace.
 	DefaultMaxSpans = 512
@@ -61,6 +65,10 @@ type Trace struct {
 	droppedAttrs atomic.Int64
 
 	root *Span
+
+	// events is the decision-event log RecordEvents gave the trace; nil
+	// for request traces.
+	events *EventLog
 }
 
 // NewTrace starts a trace identified by id (NewID() when empty) whose
@@ -95,6 +103,24 @@ func (t *Trace) SetCaps(maxSpans, maxAttrs int) {
 	if maxAttrs > 0 {
 		t.maxAttrs = int32(maxAttrs)
 	}
+}
+
+// RecordEvents gives the trace an event log timed from the trace's
+// start, and returns it. Installed as the process trace, the trace then
+// collects the decision events of calls whose context installs no log of
+// its own (EventsFrom). Call before SetProcess.
+func (t *Trace) RecordEvents() *EventLog {
+	t.events = &EventLog{start: t.start}
+	return t.events
+}
+
+// Events returns the trace's event log: nil on nil, and on a trace
+// RecordEvents was not called on.
+func (t *Trace) Events() *EventLog {
+	if t == nil {
+		return nil
+	}
+	return t.events
 }
 
 // ID returns the trace ID ("" on nil).

@@ -35,6 +35,8 @@ type Record struct {
 	SLOBreach bool `json:"slo_breach,omitempty"`
 
 	Spans *SpanSnapshot `json:"spans,omitempty"`
+	// Events are the trace's decision events, when it recorded any.
+	Events []Event `json:"events,omitempty"`
 
 	// DroppedSpans / DroppedAttrs report what the trace's caps discarded,
 	// so a truncated tree is never mistaken for a complete one.

@@ -56,7 +56,7 @@ func SetClosedFormDisabled(disabled bool) bool {
 // "search.closedform" records eligibility, the fallback reason, the
 // analytic grid, and whether the O(1) rounding already was the argmin.
 func closedFormRect(ctx context.Context, a *footprint.Analysis, ev *footprint.Evaluator,
-	sizes []int64, grids [][]int64, procs int, parent *obs.Span, reg *telemetry.Registry,
+	sizes []int64, grids [][]int64, procs int, parent *obs.Span, reg *telemetry.Registry, log *obs.EventLog,
 ) (RectPlan, bool, error) {
 	_, sp := obs.StartSpan(ctx, "search.closedform")
 	defer sp.End()
@@ -81,7 +81,7 @@ func closedFormRect(ctx context.Context, a *footprint.Analysis, ev *footprint.Ev
 		seed, _ = ev.RectTotalFootprintScratch(ext, nil)
 	}
 
-	best, evaluated, pruned, infeasible, found := certifySweep(ev, grids, sizes, seed, reg)
+	best, evaluated, pruned, infeasible, found := certifySweep(ev, grids, sizes, seed, log)
 	reg.Counter("partition.rect.candidates").Add(evaluated)
 	reg.Counter("partition.rect.pruned").Add(pruned)
 	reg.Counter("partition.rect.infeasible").Add(infeasible)
@@ -101,13 +101,13 @@ func closedFormRect(ctx context.Context, a *footprint.Analysis, ev *footprint.Ev
 	best.PredictedTraffic = tr
 	parent.SetAttr("grid", fmt.Sprint(best.Grid))
 	parent.SetAttr("footprint", best.PredictedFootprint)
-	if reg.Recording() {
+	if log != nil {
 		fields := chosenFields(a, best)
 		fields["evaluated"] = evaluated
 		fields["pruned"] = pruned
 		fields["closed_form"] = true
 		fields["analytic_match"] = match
-		reg.Emit("partition.rect.chosen", fmt.Sprintf("grid=%v", best.Grid), fields)
+		log.Emit("partition.rect.chosen", fmt.Sprintf("grid=%v", best.Grid), fields)
 	}
 	return best, true, nil
 }
@@ -231,11 +231,11 @@ func primeFactorsDesc(n int64) []int64 {
 // admissible volume bound (seeded with the analytic candidate's
 // footprint), the same betterEps margin, and the same better() fold — so
 // the winner is byte-identical to the parallel enumerative search with or
-// without pruning. The sweep is allocation-free outside telemetry: the
+// without pruning. The sweep is allocation-free outside the event log: the
 // candidate and incumbent extents live in two reused buffers and the
 // evaluator scores through scratch.
 func certifySweep(ev *footprint.Evaluator, grids [][]int64, sizes []int64,
-	seed float64, reg *telemetry.Registry,
+	seed float64, log *obs.EventLog,
 ) (RectPlan, int64, int64, int64, bool) {
 	l := len(sizes)
 	cur := make([]int64, l)
@@ -271,8 +271,8 @@ func certifySweep(ev *footprint.Evaluator, grids [][]int64, sizes []int64,
 			bound = fp
 		}
 		cand := RectPlan{Grid: grid, Ext: cur, PredictedFootprint: fp, Exactness: ex}
-		if reg.Recording() {
-			reg.Emit("partition.rect.candidate", fmt.Sprintf("grid=%v", grid), map[string]any{
+		if log != nil {
+			log.Emit("partition.rect.candidate", fmt.Sprintf("grid=%v", grid), map[string]any{
 				"grid":      fmt.Sprint(cand.Grid),
 				"ext":       fmt.Sprint(cand.Ext),
 				"footprint": cand.PredictedFootprint,

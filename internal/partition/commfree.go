@@ -1,11 +1,12 @@
 package partition
 
 import (
+	"context"
 	"fmt"
 
 	"looppart/internal/footprint"
 	"looppart/internal/intmat"
-	"looppart/internal/telemetry"
+	"looppart/internal/obs"
 )
 
 // Communication-free loop partitioning in the style of Ramanujam and
@@ -147,13 +148,13 @@ func SlabPlanFor(normal []int64, width int64, commFree bool, lo, hi []int64) (Sl
 
 // FindCommFree looks for a communication-free slab partition of the
 // analysis over P processors. It returns ok = false when none exists.
-func FindCommFree(a *footprint.Analysis, procs int, includeReadOnly bool) (SlabPlan, bool) {
-	reg := telemetry.Active()
+// The normals it weighs and the one it picks are decision events in
+// ctx's event log.
+func FindCommFree(ctx context.Context, a *footprint.Analysis, procs int, includeReadOnly bool) (SlabPlan, bool) {
+	log := obs.EventsFrom(ctx)
 	normals := CommFreeNormals(a, includeReadOnly)
 	if len(normals) == 0 {
-		if reg.Recording() {
-			reg.Emit("partition.commfree.none", "no conflict-orthogonal normal", nil)
-		}
+		log.Emit("partition.commfree.none", "no conflict-orthogonal normal", nil)
 		return SlabPlan{}, false
 	}
 	// Prefer the normal giving the widest slabs (most h·i levels per
@@ -164,8 +165,8 @@ func FindCommFree(a *footprint.Analysis, procs int, includeReadOnly bool) (SlabP
 	for _, h := range normals {
 		lo, hi := hyperplaneRange(h, space.Lo, space.Hi)
 		levels := hi - lo + 1
-		if reg.Recording() {
-			reg.Emit("partition.commfree.candidate", fmt.Sprintf("normal=%v", h), map[string]any{
+		if log != nil {
+			log.Emit("partition.commfree.candidate", fmt.Sprintf("normal=%v", h), map[string]any{
 				"normal":   fmt.Sprint(h),
 				"levels":   levels,
 				"feasible": levels >= int64(procs),
@@ -181,8 +182,8 @@ func FindCommFree(a *footprint.Analysis, procs int, includeReadOnly bool) (SlabP
 			found = true
 		}
 	}
-	if found && reg.Recording() {
-		reg.Emit("partition.commfree.chosen", fmt.Sprintf("normal=%v", best.Normal), map[string]any{
+	if found && log != nil {
+		log.Emit("partition.commfree.chosen", fmt.Sprintf("normal=%v", best.Normal), map[string]any{
 			"normal": fmt.Sprint(best.Normal),
 			"width":  best.Width,
 		})

@@ -6,8 +6,8 @@ import (
 	"runtime"
 	"testing"
 
+	"looppart/internal/obs"
 	"looppart/internal/paperex"
-	"looppart/internal/telemetry"
 )
 
 // referenceFactorizations is the original recursive enumerator, kept as
@@ -154,16 +154,15 @@ func TestPruningDoesNotChangePlan(t *testing.T) {
 // run's count: two identical runs must report the same number.
 func TestSkewChosenCandidatesPerRun(t *testing.T) {
 	a := analyze(t, paperex.Example8, map[string]int64{"N": 12})
-	reg := telemetry.New()
-	prev := telemetry.SetActive(reg)
-	defer telemetry.SetActive(prev)
+	log := obs.NewEventLog()
+	ctx := obs.WithEvents(context.Background(), log)
 
 	counts := make([]int64, 0, 2)
 	for run := 0; run < 2; run++ {
-		if _, err := OptimizeSkew(context.Background(), a, 4, 2); err != nil {
+		if _, err := OptimizeSkew(ctx, a, 4, 2); err != nil {
 			t.Fatal(err)
 		}
-		events := reg.EventsOfKind("partition.skew.chosen")
+		events := eventsOfKind(log, "partition.skew.chosen")
 		if len(events) != run+1 {
 			t.Fatalf("run %d: %d chosen events, want %d", run, len(events), run+1)
 		}
@@ -185,14 +184,11 @@ func TestSkewChosenCandidatesPerRun(t *testing.T) {
 // run's evaluated/pruned split and that they account for every candidate.
 func TestRectChosenReportsPruning(t *testing.T) {
 	a := analyze(t, paperex.Example8, map[string]int64{"N": 96})
-	reg := telemetry.New()
-	prev := telemetry.SetActive(reg)
-	defer telemetry.SetActive(prev)
-
-	if _, err := OptimizeRect(context.Background(), a, 64); err != nil {
+	log := obs.NewEventLog()
+	if _, err := OptimizeRect(obs.WithEvents(context.Background(), log), a, 64); err != nil {
 		t.Fatal(err)
 	}
-	events := reg.EventsOfKind("partition.rect.chosen")
+	events := eventsOfKind(log, "partition.rect.chosen")
 	if len(events) != 1 {
 		t.Fatalf("%d chosen events, want 1", len(events))
 	}
@@ -208,12 +204,23 @@ func TestRectChosenReportsPruning(t *testing.T) {
 	}
 }
 
+// eventsOfKind returns log's events of one kind, in emission order.
+func eventsOfKind(log *obs.EventLog, kind string) []obs.Event {
+	var out []obs.Event
+	for _, ev := range log.Events() {
+		if ev.Kind == kind {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
 // TestOptimizersSilentWithoutTelemetry pins the satellite fix: candidate
-// scoring must not build telemetry payloads when no registry is active.
-// (A crash or panic here would mean an unguarded Emit on a nil registry.)
+// scoring must not build event payloads when no event log is installed.
+// (A crash or panic here would mean an unguarded Emit on a nil log.)
 func TestOptimizersSilentWithoutTelemetry(t *testing.T) {
-	if telemetry.Enabled() {
-		t.Fatal("test requires no active registry")
+	if obs.EventsFrom(context.Background()) != nil {
+		t.Fatal("test requires no installed event log")
 	}
 	a := analyze(t, paperex.Example8, map[string]int64{"N": 24})
 	if _, err := OptimizeRect(context.Background(), a, 8); err != nil {

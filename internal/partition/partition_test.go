@@ -134,7 +134,7 @@ func TestCommFreeExample2(t *testing.T) {
 	// Partition a of Example 2 is communication-free; the normal is
 	// (0,1): slabs of constant j ranges.
 	a := analyze(t, paperex.Example2, nil)
-	plan, ok := FindCommFree(a, 100, true)
+	plan, ok := FindCommFree(context.Background(), a, 100, true)
 	if !ok {
 		t.Fatal("Example 2 has a communication-free partition")
 	}
@@ -166,7 +166,7 @@ func TestCommFreeVerifiedByEnumeration(t *testing.T) {
 	// slabs touch a common element of B or A.
 	a := analyze(t, paperex.Example2, nil)
 	n := a.Nest
-	plan, ok := FindCommFree(a, 10, true)
+	plan, ok := FindCommFree(context.Background(), a, 10, true)
 	if !ok {
 		t.Fatal("no comm-free plan")
 	}
@@ -211,7 +211,7 @@ func TestCommFreeExample3Skewed(t *testing.T) {
 	if h[0]*1+h[1]*3 != 0 {
 		t.Fatalf("normal %v not orthogonal to (1,3)", h)
 	}
-	plan, ok := FindCommFree(a, 10, true)
+	plan, ok := FindCommFree(context.Background(), a, 10, true)
 	if !ok {
 		t.Fatal("Example 3 should admit skewed comm-free slabs")
 	}
@@ -224,7 +224,7 @@ func TestCommFreeExample10Fails(t *testing.T) {
 	// Example 10 has no communication-free partition (the case beyond
 	// Ramanujam–Sadayappan); B's conflicts span both dimensions.
 	a := analyze(t, paperex.Example10, map[string]int64{"N": 30})
-	if _, ok := FindCommFree(a, 10, true); ok {
+	if _, ok := FindCommFree(context.Background(), a, 10, true); ok {
 		t.Fatal("Example 10 should have no comm-free partition")
 	}
 	// But the footprint optimizer still returns a plan.

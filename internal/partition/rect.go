@@ -120,6 +120,7 @@ func OptimizeRect(ctx context.Context, a *footprint.Analysis, procs int) (RectPl
 	}
 	sizes := space.Extents()
 	reg := telemetry.Active()
+	log := obs.EventsFrom(ctx)
 	grids := factorizations(int64(procs), l)
 	ev := footprint.NewEvaluator(a)
 
@@ -128,7 +129,7 @@ func OptimizeRect(ctx context.Context, a *footprint.Analysis, procs int) (RectPl
 	// zero-allocation sequential sweep (closedform.go); off-domain nests
 	// fall through to the parallel enumerative search below. Either way
 	// the returned plan is byte-identical.
-	if plan, handled, err := closedFormRect(ctx, a, ev, sizes, grids, procs, sp, reg); handled {
+	if plan, handled, err := closedFormRect(ctx, a, ev, sizes, grids, procs, sp, reg, log); handled {
 		return plan, err
 	}
 
@@ -185,8 +186,8 @@ func OptimizeRect(ctx context.Context, a *footprint.Analysis, procs int) (RectPl
 			continue
 		}
 		cand := RectPlan{Grid: grids[i], Ext: c.ext, PredictedFootprint: c.fp, Exactness: c.ex}
-		if reg.Recording() {
-			reg.Emit("partition.rect.candidate", fmt.Sprintf("grid=%v", cand.Grid), map[string]any{
+		if log != nil {
+			log.Emit("partition.rect.candidate", fmt.Sprintf("grid=%v", cand.Grid), map[string]any{
 				"grid":      fmt.Sprint(cand.Grid),
 				"ext":       fmt.Sprint(cand.Ext),
 				"footprint": cand.PredictedFootprint,
@@ -206,11 +207,11 @@ func OptimizeRect(ctx context.Context, a *footprint.Analysis, procs int) (RectPl
 	best.PredictedTraffic = tr
 	sp.SetAttr("grid", fmt.Sprint(best.Grid))
 	sp.SetAttr("footprint", best.PredictedFootprint)
-	if reg.Recording() {
+	if log != nil {
 		fields := chosenFields(a, best)
 		fields["evaluated"] = evaluated.Load()
 		fields["pruned"] = pruned.Load()
-		reg.Emit("partition.rect.chosen", fmt.Sprintf("grid=%v", best.Grid), fields)
+		log.Emit("partition.rect.chosen", fmt.Sprintf("grid=%v", best.Grid), fields)
 	}
 	return best, nil
 }

@@ -157,6 +157,7 @@ func OptimizeSkew(ctx context.Context, a *footprint.Analysis, procs int, maxSkew
 	}
 
 	reg := telemetry.Active()
+	log := obs.EventsFrom(ctx)
 	exts := volumeFactorizations(vol, l)
 	skews := unimodularSkews(l, maxSkew)
 	ev := footprint.NewEvaluator(a)
@@ -264,8 +265,8 @@ func OptimizeSkew(ctx context.Context, a *footprint.Analysis, procs int, maxSkew
 			// The decision trace records only the improvements (the chain
 			// of running minima), not every candidate; pruned candidates
 			// never appear — they cannot improve on the bound.
-			if reg.Recording() {
-				reg.Emit("partition.skew.improved", t.String(), map[string]any{
+			if log != nil {
+				log.Emit("partition.skew.improved", t.String(), map[string]any{
 					"footprint": c.fp,
 					"exactness": c.ex.String(),
 					"detL":      t.Volume(),
@@ -279,10 +280,10 @@ func OptimizeSkew(ctx context.Context, a *footprint.Analysis, procs int, maxSkew
 	best.RectBaseline = bestRect
 	sp.SetAttr("tile", best.Tile.String())
 	sp.SetAttr("footprint", best.PredictedFootprint)
-	if reg.Recording() {
+	if log != nil {
 		// candidates reports this run's evaluations, not the cumulative
 		// process-wide counter (which spans successive optimizer runs).
-		reg.Emit("partition.skew.chosen", best.Tile.String(), map[string]any{
+		log.Emit("partition.skew.chosen", best.Tile.String(), map[string]any{
 			"footprint":     best.PredictedFootprint,
 			"rect_baseline": best.RectBaseline,
 			"exactness":     best.Exactness.String(),

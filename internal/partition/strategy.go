@@ -185,8 +185,8 @@ type commFreeFamily struct{}
 
 func (commFreeFamily) Name() string { return "comm-free" }
 
-func (commFreeFamily) Optimize(_ context.Context, a *footprint.Analysis, procs int) (*FamilyPlan, error) {
-	sp, ok := FindCommFree(a, procs, true)
+func (commFreeFamily) Optimize(ctx context.Context, a *footprint.Analysis, procs int) (*FamilyPlan, error) {
+	sp, ok := FindCommFree(ctx, a, procs, true)
 	if !ok {
 		return nil, ErrNoCommFree
 	}

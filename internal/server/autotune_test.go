@@ -10,12 +10,16 @@ import (
 
 	"looppart"
 	"looppart/internal/autotune"
+	"looppart/internal/obs"
 	"looppart/internal/telemetry"
 )
 
 func TestServerAutotuneEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	resp, err := http.Post(ts.URL+"/v1/autotune", "application/json", bytes.NewReader(planBody("rect", 16)))
+	recorder := obs.NewRecorder(8)
+	_, ts := newTestServer(t, Config{Recorder: recorder})
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/autotune", bytes.NewReader(planBody("rect", 16)))
+	req.Header.Set("X-Trace-Id", "autotune-trace")
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,6 +38,13 @@ func TestServerAutotuneEndpoint(t *testing.T) {
 	w := res.Candidates[res.Winner]
 	if w.MeasuredMisses > res.Candidates[0].MeasuredMisses {
 		t.Errorf("winner measured %d misses, analytic candidate %d", w.MeasuredMisses, res.Candidates[0].MeasuredMisses)
+	}
+	// The tournament runs under the request's trace.
+	rec := waitRecord(t, recorder, "autotune-trace")
+	for _, name := range []string{"parse", "analyze", "tournament"} {
+		if rec.Spans.Find(name) == nil {
+			t.Errorf("autotune flight record lacks span %q", name)
+		}
 	}
 
 	// The winner is persisted: the next plain plan request hits.

@@ -40,7 +40,9 @@
 // "<span>.latency" histogram (the route's root span as
 // server.plan.latency and its siblings), and the registry reads the
 // service's, cluster client's, and quota limiter's own counters when
-// /metrics is scraped.
+// /metrics is scraped. An ?explain=1 request collects its decision trace
+// in an event log on its own context, so explains run concurrently with
+// all other planning; no other request records decision events.
 //
 // Admission control: a bounded in-flight semaphore sheds planning load
 // with 429 + Retry-After once MaxInflight requests are being served;
@@ -125,12 +127,6 @@ type Server struct {
 	cfg Config
 	sem chan struct{}
 	mux *http.ServeMux
-
-	// explainMu serializes explain requests (writers) against all other
-	// planning (readers): Service.Explain swaps in a private telemetry
-	// registry to collect a clean decision trace, so nothing else may
-	// plan while one runs.
-	explainMu sync.RWMutex
 
 	// testPlanGate, when set, is called at the start of every planning
 	// request after admission; tests use it to hold requests in flight
@@ -260,14 +256,11 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// plan runs one planning request under the explain read-lock and the
-// request deadline.
+// plan runs one planning request under the request deadline.
 func (s *Server) plan(ctx context.Context, req looppart.PlanRequest) (*looppart.PlanResponse, error) {
 	if s.testPlanGate != nil {
 		s.testPlanGate()
 	}
-	s.explainMu.RLock()
-	defer s.explainMu.RUnlock()
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.PlanTimeout)
 	defer cancel()
 	return s.cfg.Service.Plan(ctx, req)
@@ -413,11 +406,7 @@ type explainResponse struct {
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, req looppart.PlanRequest) {
 	reg := s.cfg.Registry
-	// Exclusive: no other planning may emit into the private trace
-	// registry Service.Explain installs.
-	s.explainMu.Lock()
-	resp, trace, err := s.cfg.Service.Explain(req)
-	s.explainMu.Unlock()
+	resp, trace, err := s.cfg.Service.Explain(r.Context(), req)
 	if err != nil {
 		reg.Counter("server.errors").Add(1)
 		s.fail(w, r, planStatus(err), err.Error())
@@ -504,8 +493,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // handleAutotune runs a measured plan tournament on demand. Tournaments
 // replay every candidate through the simulator, so they are the most
 // expensive request the server takes — the same admission semaphore that
-// bounds planning bounds them, and the explain read-lock keeps their
-// telemetry out of private explain registries.
+// bounds planning bounds them. The tournament runs under the request's
+// trace.
 func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
@@ -529,9 +518,7 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 	if s.testPlanGate != nil {
 		s.testPlanGate()
 	}
-	s.explainMu.RLock()
-	res, err := s.cfg.Service.Tournament(req)
-	s.explainMu.RUnlock()
+	res, err := s.cfg.Service.Tournament(r.Context(), req)
 	if err != nil {
 		reg.Counter("server.errors").Add(1)
 		s.fail(w, r, planStatus(err), err.Error())
@@ -579,11 +566,9 @@ func (s *Server) handlePeerPlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.explainMu.RLock()
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.PlanTimeout)
 	resp, err := s.cfg.Service.PlanLocal(ctx, req)
 	cancel()
-	s.explainMu.RUnlock()
 	if err != nil {
 		reg.Counter("server.errors").Add(1)
 		s.fail(w, r, planStatus(err), err.Error())

@@ -75,27 +75,3 @@ func promName(name string) string {
 	}
 	return b.String()
 }
-
-// FormatDecisionTrace renders the registry's decision events for a
-// human: one line per event, fields in lexicographic order. Candidate
-// events are grouped under their kind. Returns "" when no events were
-// recorded (telemetry off or nothing decided).
-func (r *Registry) FormatDecisionTrace() string {
-	events := r.Events()
-	if len(events) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for _, ev := range events {
-		fmt.Fprintf(&b, "%-28s %s", ev.Kind, ev.Name)
-		for _, k := range ev.FieldKeys() {
-			// An event's name often restates one field (e.g. the grid a
-			// candidate was named after); don't print it twice.
-			if kv := fmt.Sprintf("%s=%v", k, ev.Fields[k]); kv != ev.Name {
-				b.WriteString("  " + kv)
-			}
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}

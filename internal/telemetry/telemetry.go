@@ -1,18 +1,17 @@
 // Package telemetry is the metric layer of the reproduction: a
-// zero-dependency registry of counters, gauges, duration histograms, and
-// structured decision events, threaded through the partitioning pipeline
-// (analysis → partition search → simulation → execution). Spans live in
-// internal/obs; ending one records its duration here, in the histogram
-// "<span>.latency" (Latency).
+// zero-dependency registry of counters, gauges and duration histograms,
+// threaded through the partitioning pipeline (analysis → partition
+// search → simulation → execution). Spans and decision events live in
+// internal/obs; ending a span records its duration here, in the
+// histogram "<span>.latency" (Latency).
 //
 // The paper's argument is quantitative — tile shapes are chosen by
 // minimizing a cumulative-footprint cost (Theorems 2/4) and validated
 // against measured miss traffic (Figure 3, §5) — so the pipeline records
 // the numbers it computes along the way:
 //
-//   - the partition searches emit one decision event per candidate tile
-//     (grid, extents, predicted footprint) and one for the winner, so
-//     `looppart -explain` can print why a shape won;
+//   - the partition searches count the candidates they evaluate and
+//     prune, and the closed form its hits and fallbacks;
 //   - the executor records barrier wait, per-processor iteration counts,
 //     and striped-lock contention; the cache simulator publishes its
 //     Metrics through the same registry;
@@ -48,20 +47,9 @@ func Active() *Registry { return active.Load() }
 // telemetry) and returns the previous registry so callers can restore it.
 func SetActive(reg *Registry) *Registry { return active.Swap(reg) }
 
-// Enabled reports whether a registry is installed.
-func Enabled() bool { return active.Load() != nil }
-
 // Registry owns the instruments of one run. The zero value is not usable;
 // construct with New. A nil *Registry is a valid no-op sink.
 type Registry struct {
-	start time.Time
-
-	// eventCap bounds the recorded events (0 = unbounded); see
-	// SetEventCap. Overflow drops the new event and counts it.
-	eventCap      int
-	eventsFull    atomic.Bool
-	droppedEvents atomic.Int64
-
 	// latency maps a span name to its "<name>.latency" histogram, so a
 	// span's End finds it without building the name.
 	latency sync.Map
@@ -70,45 +58,16 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	hists      map[string]*Histogram
-	events     []Event
 	collectors []func(Snapshot)
 }
 
-// New creates an empty registry whose clock starts now.
+// New creates an empty registry.
 func New() *Registry {
 	return &Registry{
-		start:    time.Now(),
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
-}
-
-// since returns the registry-relative timestamp.
-func (r *Registry) since() time.Duration { return time.Since(r.start) }
-
-// Start returns the wall-clock time event timestamps are relative to.
-func (r *Registry) Start() time.Time {
-	if r == nil {
-		return time.Time{}
-	}
-	return r.start
-}
-
-// SetEventCap bounds the event buffer, for registries that live as long
-// as a serving process rather than one CLI run (counters, gauges, and
-// histograms aggregate in place and need no cap). A cap of 0 leaves the
-// buffer unbounded. Once it is full, later events are dropped and
-// counted (telemetry.dropped_events in Snapshot), and Recording turns
-// false so instrumented code stops building them.
-func (r *Registry) SetEventCap(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.eventCap = n
-	r.eventsFull.Store(n > 0 && len(r.events) >= n)
-	r.mu.Unlock()
 }
 
 // Collect registers fn to run on every Snapshot: fn writes the counters
@@ -308,9 +267,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	if r == nil {
 		return s
-	}
-	if n := r.droppedEvents.Load(); n > 0 {
-		s.Counters["telemetry.dropped_events"] = n
 	}
 	r.mu.Lock()
 	for name, c := range r.counters {

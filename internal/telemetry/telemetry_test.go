@@ -17,20 +17,9 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	r.Histogram("h").Observe(time.Millisecond)
 	r.Latency("phase").Observe(time.Millisecond)
 	r.Collect(func(Snapshot) { t.Error("collector ran on a nil registry") })
-	r.SetEventCap(1)
-	if r.Recording() {
-		t.Error("nil registry reports Recording")
-	}
-	r.Emit("kind", "name", map[string]any{"x": 1})
-	if got := r.Events(); got != nil {
-		t.Errorf("nil registry events = %v, want nil", got)
-	}
 	snap := r.Snapshot()
 	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Histograms) != 0 {
 		t.Errorf("nil registry snapshot not empty: %+v", snap)
-	}
-	if got := r.FormatDecisionTrace(); got != "" {
-		t.Errorf("nil FormatDecisionTrace = %q", got)
 	}
 }
 
@@ -43,11 +32,11 @@ func TestActiveSwap(t *testing.T) {
 	if prev != nil {
 		t.Errorf("previous active registry = %v, want nil", prev)
 	}
-	if Active() != reg || !Enabled() {
+	if Active() != reg {
 		t.Errorf("Active() did not return the installed registry")
 	}
 	SetActive(nil)
-	if Enabled() {
+	if Active() != nil {
 		t.Errorf("telemetry still enabled after SetActive(nil)")
 	}
 }
@@ -195,23 +184,6 @@ func TestPromName(t *testing.T) {
 		if got := promName(in); got != want {
 			t.Errorf("promName(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestFormatDecisionTrace(t *testing.T) {
-	reg := New()
-	reg.Emit("partition.rect.candidate", "grid=[2 4]", map[string]any{"footprint": 140.0, "ext": "[12 6]"})
-	reg.Emit("partition.rect.chosen", "grid=[8 1]", nil)
-	out := reg.FormatDecisionTrace()
-	if !strings.Contains(out, "partition.rect.candidate") || !strings.Contains(out, "footprint=140") {
-		t.Errorf("decision trace missing candidate line:\n%s", out)
-	}
-	if !strings.Contains(out, "partition.rect.chosen") {
-		t.Errorf("decision trace missing chosen line:\n%s", out)
-	}
-	// Fields print in sorted key order.
-	if strings.Index(out, "ext=") > strings.Index(out, "footprint=") {
-		t.Errorf("fields not sorted:\n%s", out)
 	}
 }
 

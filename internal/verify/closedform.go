@@ -27,7 +27,7 @@ import (
 // The check temporarily installs a private telemetry registry (to read
 // the partition.closedform.{hits,fallbacks} counters) and toggles the
 // process-wide fast-path switch, so callers must not run concurrent
-// planning — the same contract as Service.Explain.
+// planning.
 func DiffClosedForm(a *footprint.Analysis, procs int) (hit bool, err error) {
 	reg := telemetry.New()
 	prev := telemetry.SetActive(reg)

@@ -55,7 +55,8 @@ func Parse(src string, params map[string]int64) (*Program, error) {
 }
 
 // parse is Parse with its parse and analyze spans opened in ctx, so a
-// served request's tree carries them.
+// served request's tree carries them, and its per-class analysis facts
+// recorded in ctx's event log.
 func parse(ctx context.Context, src string, params map[string]int64) (*Program, error) {
 	_, sp := obs.StartSpan(ctx, "parse")
 	n, err := loopir.Parse(src, params)
@@ -69,8 +70,8 @@ func parse(ctx context.Context, src string, params map[string]int64) (*Program, 
 	if err != nil {
 		return nil, err
 	}
-	reg := telemetry.Active()
-	if !reg.Recording() {
+	log := obs.EventsFrom(ctx)
+	if log == nil {
 		return &Program{Nest: n, Analysis: a}, nil
 	}
 	// Decision trace: one event per uniformly intersecting class, carrying
@@ -88,7 +89,7 @@ func parse(ctx context.Context, src string, params map[string]int64) (*Program, 
 		if u, _, ok := c.SpreadCoeffs(); ok {
 			fields["coeffs"] = fmt.Sprint(u)
 		}
-		reg.Emit("analysis.class", fmt.Sprintf("class%d.%s", i, c.Array), fields)
+		log.Emit("analysis.class", fmt.Sprintf("class%d.%s", i, c.Array), fields)
 	}
 	return &Program{Nest: n, Analysis: a}, nil
 }
@@ -192,7 +193,8 @@ func (pr *Program) Partition(procs int, strategy Strategy) (*Plan, error) {
 // PartitionCtx derives a plan for P processors with the given strategy.
 // It opens a partition.<strategy> span in ctx, and the strategy searches
 // record theirs (search.rect / search.skewed with evaluated/pruned
-// counts) beneath it.
+// counts) beneath it. Auto's fallback and the searches' candidates are
+// decision events in ctx's event log.
 func (pr *Program) PartitionCtx(ctx context.Context, procs int, strategy Strategy) (*Plan, error) {
 	if procs < 1 {
 		return nil, fmt.Errorf("looppart: procs must be >= 1, got %d", procs)
@@ -200,7 +202,6 @@ func (pr *Program) PartitionCtx(ctx context.Context, procs int, strategy Strateg
 	if pr.Nest.Symbolic() && strategy != Oblivious && strategy != Auto {
 		return nil, fmt.Errorf("looppart: nest has symbolic bounds; only the oblivious strategy can plan it")
 	}
-	reg := telemetry.Active()
 	if strategy != Auto {
 		var sp *obs.Span
 		ctx, sp = obs.StartSpan(ctx, "partition."+strategy.String())
@@ -209,19 +210,20 @@ func (pr *Program) PartitionCtx(ctx context.Context, procs int, strategy Strateg
 	}
 	switch strategy {
 	case Auto:
+		log := obs.EventsFrom(ctx)
 		if pr.Nest.Symbolic() {
-			reg.Emit("strategy.auto", "oblivious", map[string]any{
+			log.Emit("strategy.auto", "oblivious", map[string]any{
 				"reason": "symbolic loop bounds; only cache-oblivious bisection needs no extents",
 			})
 			return pr.PartitionCtx(ctx, procs, Oblivious)
 		}
 		if plan, err := pr.PartitionCtx(ctx, procs, CommFree); err == nil {
-			reg.Emit("strategy.auto", "comm-free", map[string]any{
+			log.Emit("strategy.auto", "comm-free", map[string]any{
 				"reason": "a communication-free hyperplane partition exists",
 			})
 			return plan, nil
 		}
-		reg.Emit("strategy.auto", "rect", map[string]any{
+		log.Emit("strategy.auto", "rect", map[string]any{
 			"reason": "no communication-free partition; falling back to footprint-optimal rectangles",
 		})
 		return pr.PartitionCtx(ctx, procs, Rect)

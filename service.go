@@ -624,33 +624,31 @@ func (s *Service) CommOptimality(req PlanRequest, res *PlanResult, words int64) 
 	return &bound, &pct
 }
 
-// Explain answers req with a fresh, uncached pipeline run and returns the
-// decision trace alongside the result. It temporarily installs a private
-// telemetry registry to collect the trace, so the caller must guarantee
-// no concurrent planning (cmd/looppartd serializes explain requests
-// behind a write lock). The computed plan still fills the cache, with
-// bytes identical to the normal path.
-func (s *Service) Explain(req PlanRequest) (*PlanResponse, string, error) {
+// Explain answers req with a fresh, uncached pipeline run under ctx and
+// returns the decision trace alongside the result. The run records its
+// events in a log of its own, installed on ctx, so explains run
+// concurrently with each other and with planning, and their spans join
+// ctx's trace. The computed plan still fills the cache, with bytes
+// identical to the normal path.
+func (s *Service) Explain(ctx context.Context, req PlanRequest) (*PlanResponse, string, error) {
 	s.requests.Add(1)
-	reg := telemetry.New()
-	prev := telemetry.SetActive(reg)
-	defer telemetry.SetActive(prev)
-
-	prog, procs, strategy, err := s.prepare(context.Background(), req)
+	log := obs.NewEventLog()
+	ctx = obs.WithEvents(ctx, log)
+	prog, procs, strategy, err := s.prepare(ctx, req)
 	if err != nil {
 		s.errors.Add(1)
 		return nil, "", err
 	}
 	key := CanonicalKey(prog, procs, strategy)
 	s.searches.Add(1)
-	raw, dec, err := s.search(context.Background(), prog, key, procs, req.Strategy, strategy)
+	raw, dec, err := s.search(ctx, prog, key, procs, req.Strategy, strategy)
 	if err != nil {
 		s.errors.Add(1)
 		return nil, "", err
 	}
 	s.cache.PutDecoded(key, raw, nil)
 	s.persist(key, raw)
-	return &PlanResponse{Key: key, Status: "bypass", Raw: raw, result: dec}, reg.FormatDecisionTrace(), nil
+	return &PlanResponse{Key: key, Status: "bypass", Raw: raw, result: dec}, log.FormatDecisionTrace(), nil
 }
 
 // prepare validates and parses the request, its parse and analyze spans
@@ -696,13 +694,14 @@ func (s *Service) persist(key string, raw []byte) {
 	}
 }
 
-// Tournament runs a measured plan tournament for req on demand and
-// returns the full predicted-vs-measured result, regardless of the
-// service's autotune mode. The winner is persisted like any served plan,
-// so a later Plan call for the same nest hits.
-func (s *Service) Tournament(req PlanRequest) (*autotune.Result, error) {
+// Tournament runs a measured plan tournament for req on demand under ctx
+// (its parse, analyze and tournament spans join ctx's trace) and returns
+// the full predicted-vs-measured result, regardless of the service's
+// autotune mode. The winner is persisted like any served plan, so a
+// later Plan call for the same nest hits.
+func (s *Service) Tournament(ctx context.Context, req PlanRequest) (*autotune.Result, error) {
 	s.requests.Add(1)
-	prog, procs, strategy, err := s.prepare(context.Background(), req)
+	prog, procs, strategy, err := s.prepare(ctx, req)
 	if err != nil {
 		s.errors.Add(1)
 		return nil, err
@@ -712,7 +711,7 @@ func (s *Service) Tournament(req PlanRequest) (*autotune.Result, error) {
 		k = 4
 	}
 	s.searches.Add(1)
-	plan, res, err := prog.Autotune(context.Background(), procs, strategy, AutotuneOptions{
+	plan, res, err := prog.Autotune(ctx, procs, strategy, AutotuneOptions{
 		TopK: k, Fingerprint: s.fingerprint, CacheLines: s.autotuneCLines,
 	})
 	if err != nil {
@@ -725,7 +724,7 @@ func (s *Service) Tournament(req PlanRequest) (*autotune.Result, error) {
 			strategy.String(), plan.String())
 	}
 	key := CanonicalKey(prog, procs, strategy)
-	if raw, _, err := s.encode(context.Background(), plan, res, key, req.Strategy, strategy, procs); err == nil {
+	if raw, _, err := s.encode(ctx, plan, res, key, req.Strategy, strategy, procs); err == nil {
 		s.cache.PutDecoded(key, raw, nil)
 		s.persist(key, raw)
 	}

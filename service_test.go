@@ -118,7 +118,7 @@ func TestServiceRenderedMatchesLibrary(t *testing.T) {
 func TestServiceExplain(t *testing.T) {
 	svc := looppart.NewService(looppart.ServiceOptions{})
 	req := looppart.PlanRequest{Source: serviceNest, Procs: 16, Strategy: "rect"}
-	resp, trace, err := svc.Explain(req)
+	resp, trace, err := svc.Explain(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
