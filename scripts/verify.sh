@@ -29,9 +29,9 @@ go test -race -count=1 \
 	-run 'TestSearchDeterministicAcrossPoolSizes|TestPruningDoesNotChangePlan' \
 	./internal/partition
 
-echo '== race: serving layer (singleflight, shedding, graceful shutdown) =='
+echo '== race: serving layer (singleflight, shedding, graceful shutdown, explains) =='
 go test -race -count=1 \
-	-run 'TestServerSingleflightConcurrentIdentical|TestServerShedsLoad|TestServerGracefulShutdownDrains' \
+	-run 'TestServerSingleflightConcurrentIdentical|TestServerShedsLoad|TestServerGracefulShutdownDrains|TestExplainCountsIntoServerRegistry|TestExplainFlightRecordHoldsSearch|TestCacheHitDoesNotWaitForExplain|TestConcurrentExplainsMatchAlone' \
 	./internal/server
 
 echo '== race: request tracing (disjoint trees, coalesced waiter links) =='
@@ -119,6 +119,20 @@ go run ./scripts/checktrace "$trace" "$metrics"
 for span in parse analyze partition.rect simulate.rect; do
 	grep -q "\"name\":\"$span\",\"ph\":\"X\"" "$trace" || {
 		echo "verify: looppart -trace lacks the $span span" >&2
+		exit 1
+	}
+done
+# So do their decision events, as instant events.
+grep -q '"name":"partition.rect.chosen:[^"]*","ph":"i"' "$trace" || {
+	echo 'verify: looppart -trace lacks the partition.rect.chosen event' >&2
+	exit 1
+}
+
+echo '== smoke: looppart -explain prints the decision trace =='
+explainout=$(go run ./cmd/looppart -explain -strategy rect example2)
+for kind in partition.rect.candidate partition.rect.chosen; do
+	echo "$explainout" | grep -q "^$kind " || {
+		echo "verify: looppart -explain printed no $kind line" >&2
 		exit 1
 	}
 done
@@ -258,6 +272,32 @@ rejcode=$(curl -s -o "$smokedir/rejresp" -w '%{http_code}' \
 	exit 1
 }
 grep -q 'not enabled' "$smokedir/rejresp"
+
+# ?explain=1 collects its decision trace in a log of its own: its search
+# spans join its flight record, and its search counters reach /metrics
+# like any request's (the rect miss above already set the counter).
+candidates() {
+	curl -sf "http://$addr2/metrics" | sed -n 's/^partition_rect_candidates_total //p'
+}
+before=$(candidates)
+curl -sf -o "$smokedir/explainresp" -H 'Content-Type: application/json' \
+	-H 'X-Trace-Id: verify-explain-trace' --data "$commreq" "http://$addr2/v1/plan?explain=1"
+grep -q 'partition.rect.chosen' "$smokedir/explainresp" || {
+	echo 'verify: ?explain=1 returned no partition.rect.chosen event' >&2
+	cat "$smokedir/explainresp" >&2
+	exit 1
+}
+curl -sf "http://$addr2/debug/flightrec?trace=verify-explain-trace" >"$smokedir/explainrec"
+grep -q '"name": "search.rect"' "$smokedir/explainrec" || {
+	echo 'verify: the explain flight record lacks the search.rect span' >&2
+	cat "$smokedir/explainrec" >&2
+	exit 1
+}
+after=$(candidates)
+[ -n "$before" ] && [ "${after:-0}" -gt "$before" ] || {
+	echo "verify: partition_rect_candidates_total did not grow across the explain ($before -> $after)" >&2
+	exit 1
+}
 
 kill -TERM "$daemon_pid"
 wait "$daemon_pid"
