@@ -291,10 +291,12 @@ func BenchmarkServePlanMiss(b *testing.B) {
 	}
 }
 
-// BenchmarkServePlanMissClosedForm is the cold-plan latency on a nest
-// inside the closed-form domain at high processor count: the analytic
-// fast path plus the zero-allocation miss pipeline must hold a cold
-// rect plan under a millisecond at P=256.
+// BenchmarkServePlanMissClosedForm is the cold-plan latency of a rect
+// plan at P=256 on Example 8, whose classes all score in closed form: its
+// rect scan runs inline and allocates nothing per candidate, and the miss
+// pipeline must hold the plan under a millisecond. The name is older than
+// the inline scan; it stays so the BENCH_PARTITION.json row remains
+// comparable across records.
 func BenchmarkServePlanMissClosedForm(b *testing.B) {
 	req := looppart.PlanRequest{
 		Source: paperex.Example8, Params: map[string]int64{"N": 96},

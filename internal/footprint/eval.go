@@ -125,8 +125,8 @@ func (e *Evaluator) RectTotalFootprintScratch(ext, scratch []int64) (float64, Ex
 // through a closed-form rectangular expression — square nonsingular
 // reduced G' and a single-reference (volume), integral-pair (Lemma 3), or
 // linearized-coefficient (Theorem 4) form — i.e. RectTotalFootprint never
-// falls back to per-candidate enumeration. This is the structural half of
-// the closed-form fast-path domain in internal/partition.
+// falls back to per-candidate enumeration. internal/partition's rect scan
+// runs inline, off the worker pool, when it holds.
 func (e *Evaluator) RectClosedForm() bool {
 	for i := range e.classes {
 		ce := &e.classes[i]
@@ -138,16 +138,6 @@ func (e *Evaluator) RectClosedForm() bool {
 		}
 	}
 	return true
-}
-
-// SpreadCoeff returns the cached Theorem 4 spread coefficient |u_k| of
-// class i, and whether the coefficients are valid for that class.
-func (e *Evaluator) SpreadCoeff(i, k int) (float64, bool) {
-	ce := &e.classes[i]
-	if !ce.uOK || k >= len(ce.u) {
-		return 0, false
-	}
-	return ce.u[k], true
 }
 
 // rectFootprint mirrors Class.RectFootprint exactly, reading the cached

@@ -39,15 +39,7 @@ func AbrahamHudak(a *footprint.Analysis, procs int) (RectPlan, error) {
 	bestScore := -1.0
 	for _, grid := range factorizations(int64(procs), space.Dim()) {
 		ext := make([]int64, space.Dim())
-		feasible := true
-		for k := range grid {
-			if grid[k] > sizes[k] {
-				feasible = false
-				break
-			}
-			ext[k] = ceilDiv(sizes[k], grid[k])
-		}
-		if !feasible {
+		if !gridExtents(ext, grid, sizes) {
 			continue
 		}
 		score := 0.0
@@ -136,11 +128,12 @@ func Naive(a *footprint.Analysis, procs int, shape NaiveShape) (RectPlan, error)
 		grid = bestGrid
 	}
 	ext := make([]int64, l)
-	for k := range grid {
-		if grid[k] > sizes[k] {
-			return RectPlan{}, fmt.Errorf("partition: %s shape infeasible: %d cuts in dimension of size %d", shape, grid[k], sizes[k])
+	if !gridExtents(ext, grid, sizes) {
+		k := 0
+		for grid[k] <= sizes[k] {
+			k++
 		}
-		ext[k] = ceilDiv(sizes[k], grid[k])
+		return RectPlan{}, fmt.Errorf("partition: %s shape infeasible: %d cuts in dimension of size %d", shape, grid[k], sizes[k])
 	}
 	fp, ex := a.RectTotalFootprint(ext)
 	tr, _ := a.RectTotalTraffic(ext)

@@ -14,7 +14,10 @@ import (
 // deterministic fold over the scored candidates in enumeration order — the
 // exact loop the sequential implementation ran — so the chosen plan is
 // bit-identical to the sequential result, tie-breaks included, whatever
-// the pool size or scheduling.
+// the pool size or scheduling. Each family scores through one scan that
+// its argmin and its top-K share (scanRect, skewSpace.scan); the rect
+// scan of a nest whose every class scores in closed form runs inline,
+// since there a candidate costs less than the hand-off to a worker.
 //
 // Workers share a running upper bound (the best footprint evaluated so
 // far, across all workers) used for pruning: a candidate whose admissible

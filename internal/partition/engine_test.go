@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"looppart/internal/footprint"
 	"looppart/internal/obs"
 	"looppart/internal/paperex"
 )
@@ -55,10 +56,13 @@ func TestFactorizationsCountPinned(t *testing.T) {
 	}
 }
 
-// searchCases are the paper-example analyses the engine tests sweep —
-// E5/E7/E8's nests at their experiment parameters, plus matmul, whose
-// projecting classes (non-square reduced G) the skewed search scores by
-// exact tile enumeration on the concurrent workers.
+// searchCases are the analyses the engine tests sweep — E5/E7/E8's nests
+// at their experiment parameters; matmul, whose projecting classes
+// (non-square reduced G) the skewed search scores by exact tile
+// enumeration on the concurrent workers; and seven small nests on either
+// side of the closed-form model's domain. The rect scan runs inline on
+// nests whose every class scores in closed form and on the worker pool
+// otherwise, so the sweep covers both.
 func searchCases(t *testing.T) map[string]struct {
 	src    string
 	params map[string]int64
@@ -74,13 +78,34 @@ func searchCases(t *testing.T) map[string]struct {
 		"example9":   {paperex.Example9, map[string]int64{"N": 24}, 8},
 		"example10":  {paperex.Example10, map[string]int64{"N": 36}, 6},
 		"matmulsync": {paperex.MatmulSync, map[string]int64{"N": 8}, 16},
+		// Example 8's geometry: nearest-neighbor stencil, spread (1, 1) « N.
+		"stencil2d": {"doall (i, 0, 95) doall (j, 0, 95) A[i, j] = A[i - 1, j] + A[i, j - 1] enddoall enddoall", nil, 60},
+		// Non-unit coefficients, still square and dominating.
+		"coeff2": {"doall (i, 0, 31) doall (j, 0, 31) B[2*i, j] = B[2*i - 2, j + 1] enddoall enddoall", nil, 12},
+		// Three-deep symmetric stencil.
+		"stencil3d": {"doall (i, 0, 23) doall (j, 0, 23) doall (k, 0, 23) C[i, j, k] = C[i - 1, j, k] + C[i, j - 1, k] + C[i, j, k - 1] enddoall enddoall enddoall", nil, 16},
+		// Extent equal to the spread coefficient (5 ≤ 5): §2.2's "tile
+		// sizes large relative to the offsets" fails.
+		"spread5": {"doall (i, 0, 4) doall (j, 0, 4) A[i, j] = A[i + 5, j] enddoall enddoall", nil, 4},
+		// Extent one short of dominating (6 ≤ 6).
+		"spread6": {"doall (i, 0, 5) doall (j, 0, 5) A[i, j] = A[i + 6, j] enddoall enddoall", nil, 4},
+		// Dependent subscript columns: G has two identical columns, so the
+		// §3.4.1 reduction leaves a non-square G' with no closed form.
+		"dependent": {"doall (i, 0, 7) doall (j, 0, 7) A[i + j, i + j] = A[i + j - 1, i + j - 1] enddoall enddoall", nil, 16},
+		// Rank-deficient single subscript over a 2-D space.
+		"rankdeficient": {"doall (i, 0, 7) doall (j, 0, 7) A[i + j] = A[i + j - 1] enddoall enddoall", nil, 4},
 	}
 }
 
 // TestSearchDeterministicAcrossPoolSizes pins the engine's core contract:
-// the chosen plan is bit-identical whatever the worker count.
+// the chosen plan is bit-identical whatever the worker count. The cases
+// must reach both the inline and the pooled rect scan.
 func TestSearchDeterministicAcrossPoolSizes(t *testing.T) {
+	inline := 0
 	for name, tc := range searchCases(t) {
+		if footprint.NewEvaluator(analyze(t, tc.src, tc.params)).RectClosedForm() {
+			inline++
+		}
 		t.Run(name, func(t *testing.T) {
 			a := analyze(t, tc.src, tc.params)
 
@@ -113,6 +138,9 @@ func TestSearchDeterministicAcrossPoolSizes(t *testing.T) {
 				}
 			}
 		})
+	}
+	if n := len(searchCases(t)); inline == 0 || inline == n {
+		t.Errorf("%d of %d search cases scan inline; want both the inline and the pooled rect scan", inline, n)
 	}
 }
 

@@ -24,20 +24,16 @@ func OptimizeRectLines(a *footprint.Analysis, procs int, lineSize int64) (RectPl
 	if lineSize <= 0 {
 		return RectPlan{}, fmt.Errorf("partition: line size must be positive")
 	}
-	space := tile.BoundsOf(a.Nest)
-	l := space.Dim()
-	if l == 0 {
-		return RectPlan{}, fmt.Errorf("partition: nest has no doall loops")
-	}
-	if procs <= 0 {
-		return RectPlan{}, fmt.Errorf("partition: need at least one processor")
+	sizes, grids, err := rectGrids(a, procs)
+	if err != nil {
+		return RectPlan{}, err
 	}
 	mm, err := layout.MapNest(a.Nest, lineSize)
 	if err != nil {
 		return RectPlan{}, err
 	}
-	sizes := space.Extents()
-	grids := factorizations(int64(procs), l)
+	space := tile.BoundsOf(a.Nest)
+	l := len(sizes)
 
 	// Candidates score on the engine's worker pool; the line objective has
 	// no cheap admissible bound (line enumeration can undercut the unit-line
@@ -54,11 +50,8 @@ func OptimizeRectLines(a *footprint.Analysis, procs int, lineSize int64) (RectPl
 		grid := grids[i]
 		c := &cands[i]
 		ext := make([]int64, l)
-		for k := range grid {
-			if grid[k] > sizes[k] {
-				return // infeasible
-			}
-			ext[k] = ceilDiv(sizes[k], grid[k])
+		if !gridExtents(ext, grid, sizes) {
+			return // infeasible
 		}
 		c.ext = ext
 		c.fp, c.err = LineFootprint(a, ext, lineSize, mm, space)

@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"looppart/internal/footprint"
 	"looppart/internal/intmat"
 	"looppart/internal/telemetry"
-	"looppart/internal/tile"
 )
 
 // Communication lower bound for rectangular partitions, after the
@@ -54,22 +54,16 @@ type LowerBoundResult struct {
 // CommLowerBound computes the rectangular-partition communication lower
 // bound for the analyzed nest over procs processors.
 func CommLowerBound(a *footprint.Analysis, procs int) (*LowerBoundResult, error) {
-	space := tile.BoundsOf(a.Nest)
-	l := space.Dim()
-	if l == 0 {
-		return nil, fmt.Errorf("partition: nest has no doall loops")
+	sizes, grids, err := rectGrids(a, procs)
+	if err != nil {
+		return nil, err
 	}
-	if procs <= 0 {
-		return nil, fmt.Errorf("partition: need at least one processor")
-	}
-	sizes := space.Extents()
-	classes := lbClasses(a, l)
-	grids := factorizations(int64(procs), l)
+	classes := lbClasses(a, len(sizes))
 
 	best := &LowerBoundResult{Words: math.MaxInt64, Classes: len(classes)}
+	ext := make([]int64, len(sizes))
 	for _, grid := range grids {
-		ext, feasible := lbExtents(grid, sizes)
-		if !feasible {
+		if !gridExtents(ext, grid, sizes) {
 			continue
 		}
 		words, ok := lbGridWords(classes, sizes, ext)
@@ -79,7 +73,7 @@ func CommLowerBound(a *footprint.Analysis, procs int) (*LowerBoundResult, error)
 			return nil, fmt.Errorf("partition: communication lower bound overflows for space %v", sizes)
 		}
 		if words < best.Words {
-			best.Words, best.Grid, best.Ext = words, cloneGrid(grid), ext
+			best.Words, best.Grid, best.Ext = words, cloneGrid(grid), cloneGrid(ext)
 		}
 	}
 	if best.Grid == nil {
@@ -116,7 +110,7 @@ func lbClasses(a *footprint.Analysis, l int) []lbClass {
 			}
 			if writeOff == nil {
 				writeOff = r.A
-			} else if !eqVec(writeOff, r.A) {
+			} else if !slices.Equal(writeOff, r.A) {
 				qualified = false
 				break
 			}
@@ -144,20 +138,6 @@ func lbClasses(a *footprint.Analysis, l int) []lbClass {
 		}
 	}
 	return out
-}
-
-// lbExtents returns the tile extents the standard rect family induces for
-// grid, or feasible=false when the grid oversubscribes a dimension (the
-// rect search skips those candidates, so no served plan uses them).
-func lbExtents(grid, sizes []int64) (ext []int64, feasible bool) {
-	ext = make([]int64, len(grid))
-	for k := range grid {
-		if grid[k] > sizes[k] {
-			return nil, false
-		}
-		ext[k] = ceilDiv(sizes[k], grid[k])
-	}
-	return ext, true
 }
 
 // lbGridWords is the per-grid bound: for each class and each dimension i,
@@ -190,11 +170,11 @@ func lbGridWords(classes []lbClass, sizes, ext []int64) (words int64, ok bool) {
 				if j == i {
 					continue
 				}
-				if flow, ok = mulNoOvf(flow, interior[j]); !ok {
+				if flow, ok = intmat.CheckedMul(flow, interior[j]); !ok {
 					return 0, false
 				}
 			}
-			if words, ok = addNoOvf(words, flow); !ok {
+			if words, ok = intmat.CheckedAdd(words, flow); !ok {
 				return 0, false
 			}
 		}
@@ -251,37 +231,6 @@ func interiorCount(n, e, s int64) int64 {
 	return (chunks-1)*full + tail
 }
 
-func mulNoOvf(a, b int64) (int64, bool) {
-	if a == 0 || b == 0 {
-		return 0, true
-	}
-	p := a * b
-	if p/b != a {
-		return 0, false
-	}
-	return p, true
-}
-
-func addNoOvf(a, b int64) (int64, bool) {
-	s := a + b
-	if (b > 0 && s < a) || (b < 0 && s > a) {
-		return 0, false
-	}
-	return s, true
-}
-
-func eqVec(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func allZero(v []int64) bool {
 	for _, x := range v {
 		if x != 0 {
@@ -330,7 +279,7 @@ func (lowerBoundFamily) TopK(a *footprint.Analysis, procs, k int, opt TopKOption
 		return out, nil
 	}
 	for _, p := range out {
-		if eqVec(p.Tile.Extents(), lb.Ext) {
+		if slices.Equal(p.Tile.Extents(), lb.Ext) {
 			return out, nil
 		}
 	}

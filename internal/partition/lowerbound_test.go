@@ -2,6 +2,7 @@ package partition
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"looppart/internal/footprint"
@@ -144,7 +145,7 @@ enddoall
 	if err != nil {
 		t.Fatalf("rect optimize: %v", err)
 	}
-	if !eqVec(got.Tile.Extents(), want.Tile.Extents()) {
+	if !slices.Equal(got.Tile.Extents(), want.Tile.Extents()) {
 		t.Fatalf("fallback plan %v, want rect plan %v", got.Tile, want.Tile)
 	}
 }
@@ -217,7 +218,7 @@ enddoall
 	}
 	found := false
 	for _, p := range plans {
-		if eqVec(p.Tile.Extents(), lb.Ext) {
+		if slices.Equal(p.Tile.Extents(), lb.Ext) {
 			found = true
 		}
 	}

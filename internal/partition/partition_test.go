@@ -373,48 +373,6 @@ func TestOptimizeSkewMatchesRectWhenOptimal(t *testing.T) {
 	}
 }
 
-func TestGridFromRatios(t *testing.T) {
-	a := analyze(t, paperex.Example8, map[string]int64{"N": 96})
-	coeffs, ok := ContinuousRatios(a)
-	if !ok {
-		t.Fatal("no ratios")
-	}
-	space := tile.BoundsOf(a.Nest)
-	plan, err := GridFromRatios(space, coeffs, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Extents should be ordered like the coefficients 2:3:4.
-	if !(plan.Ext[0] <= plan.Ext[1] && plan.Ext[1] <= plan.Ext[2]) {
-		t.Fatalf("ext = %v not ordered by ratios", plan.Ext)
-	}
-	vol := plan.Ext[0] * plan.Ext[1] * plan.Ext[2]
-	if vol < 96*96*96/16 {
-		t.Fatalf("volume %d below per-processor share", vol)
-	}
-}
-
-func TestGridFromRatiosZeroCoeffs(t *testing.T) {
-	// All-zero coefficients (single shape-invariant class): any feasible
-	// grid is acceptable; the call must not fail.
-	a := analyze(t, `
-doall (i, 1, 16)
-  doall (j, 1, 16)
-    A[i,j] = A[i,j]
-  enddoall
-enddoall`, nil)
-	coeffs, ok := ContinuousRatios(a)
-	if !ok {
-		t.Fatal("no ratios")
-	}
-	if coeffs[0] != 0 || coeffs[1] != 0 {
-		t.Fatalf("coeffs = %v", coeffs)
-	}
-	if _, err := GridFromRatios(tile.BoundsOf(a.Nest), coeffs, 4); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestOptimalityAgainstExhaustiveEnumeration(t *testing.T) {
 	// Ground truth: for Example 10 on a small space, exhaustively
 	// enumerate all grids and confirm OptimizeRect's choice minimizes

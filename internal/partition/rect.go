@@ -1,7 +1,7 @@
 // Package partition derives loop partitions that minimize the predicted
 // communication volume: rectangular tilings via discrete search over
-// processor-grid factorizations guided by the paper's closed-form Lagrange
-// ratios (Examples 8–10), hyperparallelepiped (skewed) tilings via a
+// processor-grid factorizations, reported beside the paper's closed-form
+// Lagrange ratios (Examples 8–10), hyperparallelepiped (skewed) tilings via a
 // bounded search over integer edge matrices scored with the Theorem 2
 // model, communication-free hyperplane partitions in the style of
 // Ramanujam and Sadayappan, and the Abraham–Hudak rectangular baseline for
@@ -11,7 +11,6 @@ package partition
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"looppart/internal/footprint"
@@ -99,7 +98,7 @@ func ContinuousRatiosData(a *footprint.Analysis) (coeffs []float64, ok bool) {
 // per doall dimension), computes the induced tile extents, and scores each
 // with the footprint model; ties break toward the most balanced grid.
 //
-// Candidates are scored on the engine's worker pool with the per-class
+// Candidates are scored by the rect scan (scanRect) with the per-class
 // model terms memoized once (footprint.Evaluator) and dominated grids
 // pruned by the admissible volume bound; the chosen plan is bit-identical
 // to a sequential scan.
@@ -110,82 +109,32 @@ func ContinuousRatiosData(a *footprint.Analysis) (coeffs []float64, ok bool) {
 func OptimizeRect(ctx context.Context, a *footprint.Analysis, procs int) (RectPlan, error) {
 	_, sp := obs.StartSpan(ctx, "search.rect")
 	defer sp.End()
-	space := tile.BoundsOf(a.Nest)
-	l := space.Dim()
-	if l == 0 {
-		return RectPlan{}, fmt.Errorf("partition: nest has no doall loops")
+	sizes, grids, err := rectGrids(a, procs)
+	if err != nil {
+		return RectPlan{}, err
 	}
-	if procs <= 0 {
-		return RectPlan{}, fmt.Errorf("partition: need at least one processor")
-	}
-	sizes := space.Extents()
 	reg := telemetry.Active()
 	log := obs.EventsFrom(ctx)
-	grids := factorizations(int64(procs), l)
-	ev := footprint.NewEvaluator(a)
-
-	// Closed-form fast path: inside the model's analytic domain the
-	// Lagrange-optimal shape is computed in O(1) and certified by a
-	// zero-allocation sequential sweep (closedform.go); off-domain nests
-	// fall through to the parallel enumerative search below. Either way
-	// the returned plan is byte-identical.
-	if plan, handled, err := closedFormRect(ctx, a, ev, sizes, grids, procs, sp, reg, log); handled {
-		return plan, err
-	}
-
-	type rectCand struct {
-		ext   []int64
-		fp    float64
-		ex    footprint.Exactness
-		state uint8
-	}
-	cands := make([]rectCand, len(grids))
-	bound := newMinBound()
-	prune := !pruneDisabled.Load()
-	var evaluated, pruned, infeasible atomic.Int64
-	forEachCandidate(len(grids), func(i int) {
-		c := &cands[i]
-		grid := grids[i]
-		ext := make([]int64, l)
-		for k := range grid {
-			if grid[k] > sizes[k] {
-				infeasible.Add(1)
-				return
-			}
-			ext[k] = ceilDiv(sizes[k], grid[k])
-		}
-		c.ext = ext
-		if prune {
-			if lb := ev.RectLowerBound(ext); lb > bound.value()+betterEps {
-				c.state = candPruned
-				pruned.Add(1)
-				return
-			}
-		}
-		c.fp, c.ex = ev.RectTotalFootprint(ext)
-		c.state = candEvaluated
-		evaluated.Add(1)
-		bound.observe(c.fp)
-	})
-	reg.Counter("partition.rect.candidates").Add(evaluated.Load())
-	reg.Counter("partition.rect.pruned").Add(pruned.Load())
-	reg.Counter("partition.rect.infeasible").Add(infeasible.Load())
+	scan := scanRect(footprint.NewEvaluator(a), grids, sizes, !pruneDisabled.Load())
+	evaluated, pruned, infeasible := scan.evaluated.Load(), scan.pruned.Load(), scan.infeasible.Load()
+	reg.Counter("partition.rect.candidates").Add(evaluated)
+	reg.Counter("partition.rect.pruned").Add(pruned)
+	reg.Counter("partition.rect.infeasible").Add(infeasible)
 	sp.SetAttr("candidates", int64(len(grids)))
-	sp.SetAttr("evaluated", evaluated.Load())
-	sp.SetAttr("pruned", pruned.Load())
-	sp.SetAttr("infeasible", infeasible.Load())
+	sp.SetAttr("evaluated", evaluated)
+	sp.SetAttr("pruned", pruned)
+	sp.SetAttr("infeasible", infeasible)
 
 	// Deterministic reduction: fold the scored candidates in enumeration
 	// order with the sequential comparison, so the winner (tie-breaks
 	// included) does not depend on worker scheduling.
 	var best RectPlan
 	found := false
-	for i := range cands {
-		c := &cands[i]
-		if c.state != candEvaluated {
+	for i := range scan.cands {
+		if scan.cands[i].state != candEvaluated {
 			continue
 		}
-		cand := RectPlan{Grid: grids[i], Ext: c.ext, PredictedFootprint: c.fp, Exactness: c.ex}
+		cand := scan.plan(i)
 		if log != nil {
 			log.Emit("partition.rect.candidate", fmt.Sprintf("grid=%v", cand.Grid), map[string]any{
 				"grid":      fmt.Sprint(cand.Grid),
@@ -202,18 +151,115 @@ func OptimizeRect(ctx context.Context, a *footprint.Analysis, procs int) (RectPl
 	if !found {
 		return RectPlan{}, fmt.Errorf("partition: no feasible grid of %d processors for space %v", procs, sizes)
 	}
-	best.Grid = cloneGrid(best.Grid)
-	tr, _ := a.RectTotalTraffic(best.Ext)
-	best.PredictedTraffic = tr
+	best.Grid, best.Ext = cloneGrid(best.Grid), cloneGrid(best.Ext)
+	best.PredictedTraffic, _ = a.RectTotalTraffic(best.Ext)
 	sp.SetAttr("grid", fmt.Sprint(best.Grid))
 	sp.SetAttr("footprint", best.PredictedFootprint)
 	if log != nil {
 		fields := chosenFields(a, best)
-		fields["evaluated"] = evaluated.Load()
-		fields["pruned"] = pruned.Load()
+		fields["evaluated"] = evaluated
+		fields["pruned"] = pruned
 		log.Emit("partition.rect.chosen", fmt.Sprintf("grid=%v", best.Grid), fields)
 	}
 	return best, nil
+}
+
+// rectGrids returns the iteration-space extents of a's nest and the
+// processor grids a rect search over procs processors scans.
+func rectGrids(a *footprint.Analysis, procs int) (sizes []int64, grids [][]int64, err error) {
+	space := tile.BoundsOf(a.Nest)
+	l := space.Dim()
+	if l == 0 {
+		return nil, nil, fmt.Errorf("partition: nest has no doall loops")
+	}
+	if procs <= 0 {
+		return nil, nil, fmt.Errorf("partition: need at least one processor")
+	}
+	return space.Extents(), factorizations(int64(procs), l), nil
+}
+
+// gridExtents writes into ext the tile extents ⌈N_k/grid_k⌉ that grid
+// induces on a space of extents sizes. It reports false, with ext partly
+// written, when grid cuts a dimension into more pieces than it has
+// iterations.
+func gridExtents(ext, grid, sizes []int64) bool {
+	for k, g := range grid {
+		if g > sizes[k] {
+			return false
+		}
+		ext[k] = ceilDiv(sizes[k], g)
+	}
+	return true
+}
+
+// rectCand is one grid of a rect scan: the extents it induces (a view
+// into the scan's backing array) and, once evaluated, their footprint.
+type rectCand struct {
+	ext   []int64
+	fp    float64
+	ex    footprint.Exactness
+	state uint8
+}
+
+// rectScan is the outcome of one rect scan: a candidate per grid, in
+// enumeration order, and the evaluated / pruned / infeasible split.
+type rectScan struct {
+	grids                         [][]int64
+	cands                         []rectCand
+	evaluated, pruned, infeasible atomic.Int64
+}
+
+// scanRect scores the tile extents every grid induces on a space of
+// extents sizes; the argmin (OptimizeRect) and the top-K
+// (OptimizeRectTopK) both read it. With prune set, a grid whose
+// admissible volume bound exceeds the best footprint scored so far is
+// skipped.
+//
+// A nest whose every class scores in closed form (RectClosedForm) is
+// scanned inline in enumeration order, where a candidate costs less than
+// a hand-off to the worker pool; any other nest scores on the pool. The
+// scan allocates nothing per candidate: one backing array holds every
+// grid's extents, and the inline scan reuses one scratch buffer for the
+// model's pair bounds.
+func scanRect(ev *footprint.Evaluator, grids [][]int64, sizes []int64, prune bool) *rectScan {
+	l := len(sizes)
+	s := &rectScan{grids: grids, cands: make([]rectCand, len(grids))}
+	backing := make([]int64, len(grids)*l)
+	bound := newMinBound()
+	score := func(i int, scratch []int64) {
+		c := &s.cands[i]
+		ext := backing[i*l : (i+1)*l : (i+1)*l]
+		if !gridExtents(ext, grids[i], sizes) {
+			s.infeasible.Add(1)
+			return
+		}
+		c.ext = ext
+		if prune && ev.RectLowerBound(ext) > bound.value()+betterEps {
+			c.state = candPruned
+			s.pruned.Add(1)
+			return
+		}
+		c.fp, c.ex = ev.RectTotalFootprintScratch(ext, scratch)
+		c.state = candEvaluated
+		s.evaluated.Add(1)
+		bound.observe(c.fp)
+	}
+	if ev.RectClosedForm() {
+		scratch := make([]int64, l)
+		for i := range grids {
+			score(i, scratch)
+		}
+	} else {
+		forEachCandidate(len(grids), func(i int) { score(i, nil) })
+	}
+	return s
+}
+
+// plan is candidate i as a RectPlan whose Grid and Ext alias the scan's
+// storage; clone both before the plan leaves the search.
+func (s *rectScan) plan(i int) RectPlan {
+	c := &s.cands[i]
+	return RectPlan{Grid: s.grids[i], Ext: c.ext, PredictedFootprint: c.fp, Exactness: c.ex}
 }
 
 // chosenFields assembles the decision-trace payload for a winning
@@ -374,69 +420,3 @@ func countFactorizations(n int64, k int, divs []int64, memo map[factKey]int) int
 }
 
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
-
-// GridFromRatios picks the factorization of P whose induced extents best
-// match the continuous ratio vector (largest coefficient gets the largest
-// extent). It is the discretization step after ContinuousRatios; unlike
-// OptimizeRect it never evaluates the footprint model, so it shows what
-// closed-form-only optimization (the paper's worked method) produces.
-func GridFromRatios(space tile.Bounds, coeffs []float64, procs int) (RectPlan, error) {
-	l := space.Dim()
-	if len(coeffs) != l {
-		return RectPlan{}, fmt.Errorf("partition: %d coefficients for %d dimensions", len(coeffs), l)
-	}
-	sizes := space.Extents()
-	var best RectPlan
-	bestScore := math.Inf(1)
-	for _, grid := range factorizations(int64(procs), l) {
-		ext := make([]int64, l)
-		feasible := true
-		for k := range grid {
-			if grid[k] > sizes[k] {
-				feasible = false
-				break
-			}
-			ext[k] = ceilDiv(sizes[k], grid[k])
-		}
-		if !feasible {
-			continue
-		}
-		// Score: deviation of extent direction from coefficient
-		// direction, comparing normalized log-ratios (scale-free). Zero
-		// coefficients are unconstrained and excluded.
-		score := 0.0
-		var logs []float64
-		var want []float64
-		for k := range ext {
-			if coeffs[k] <= 0 {
-				continue
-			}
-			logs = append(logs, math.Log(float64(ext[k])))
-			want = append(want, math.Log(coeffs[k]))
-		}
-		if len(logs) > 1 {
-			ml, mw := mean(logs), mean(want)
-			for i := range logs {
-				d := (logs[i] - ml) - (want[i] - mw)
-				score += d * d
-			}
-		}
-		if score < bestScore {
-			bestScore = score
-			best = RectPlan{Grid: grid, Ext: ext}
-		}
-	}
-	if best.Grid == nil {
-		return RectPlan{}, fmt.Errorf("partition: no feasible grid")
-	}
-	best.Grid = cloneGrid(best.Grid)
-	return best, nil
-}
-
-func mean(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"looppart/internal/footprint"
@@ -146,120 +147,32 @@ func abs64(v int64) int64 {
 func OptimizeSkew(ctx context.Context, a *footprint.Analysis, procs int, maxSkew int64) (SkewPlan, error) {
 	_, sp := obs.StartSpan(ctx, "search.skewed")
 	defer sp.End()
-	space := tile.BoundsOf(a.Nest)
-	l := space.Dim()
-	if l == 0 {
-		return SkewPlan{}, fmt.Errorf("partition: nest has no doall loops")
+	space, err := newSkewSpace(a, procs, maxSkew)
+	if err != nil {
+		return SkewPlan{}, err
 	}
-	vol := space.Size() / int64(procs)
-	if vol == 0 {
-		return SkewPlan{}, fmt.Errorf("partition: more processors than iterations")
-	}
-
 	reg := telemetry.Active()
 	log := obs.EventsFrom(ctx)
-	exts := volumeFactorizations(vol, l)
-	skews := unimodularSkews(l, maxSkew)
-	ev := footprint.NewEvaluator(a)
-
-	// Shape-independent Theorem 2 coefficients, once per (skew, class).
-	terms := make([][]skewClassTerms, len(skews))
-	allClosed := true
-	forEachCandidate(len(skews), func(si int) {
-		terms[si] = skewTermsFor(ev, skews[si])
-	})
-	for _, t := range terms[0] {
-		if !t.closed {
-			allClosed = false
-		}
-	}
-
-	ns := len(skews)
-	n := len(exts) * ns
-	type skewCand struct {
-		fp    float64
-		ex    footprint.Exactness
-		state uint8
-	}
-	cands := make([]skewCand, n)
-	bound := newMinBound()
-	prune := !pruneDisabled.Load()
-	var evaluated, pruned atomic.Int64
-	forEachCandidate(n, func(i int) {
-		ext := exts[i/ns]
-		si := i % ns
-		c := &cands[i]
-		// With every extent positive and S unimodular, L = D·S is always
-		// nonsingular (|det L| = vol), so every candidate is feasible.
-		if allClosed {
-			// Pure closed-form: evaluate from the memoized coefficients
-			// without materializing L. Same float accumulation order as
-			// Analysis.TileTotalFootprint: per class, volume term then row
-			// terms i ascending; classes in order; worst exactness.
-			total := 0.0
-			for _, t := range terms[si] {
-				total += float64(intmat.SatMul(vol, t.volCoeff))
-				for k, rc := range t.rowCoeff {
-					total += float64(intmat.SatMul(vol/ext[k], rc))
-				}
-			}
-			c.fp, c.ex = total, footprint.Approximate
-			c.state = candEvaluated
-			evaluated.Add(1)
-			bound.observe(c.fp)
-			return
-		}
-		// Mixed closed/enumerated classes: the closed-form subtotal is an
-		// admissible lower bound on the full objective (enumerated classes
-		// contribute ≥ 0), so dominated candidates skip the expensive
-		// enumeration. Rect candidates (identity skew, si == 0) are never
-		// pruned: RectBaseline is the exact minimum over all of them.
-		closedPart := 0.0
-		for _, t := range terms[si] {
-			if !t.closed {
-				continue
-			}
-			closedPart += float64(intmat.SatMul(vol, t.volCoeff))
-			for k, rc := range t.rowCoeff {
-				closedPart += float64(intmat.SatMul(vol/ext[k], rc))
-			}
-		}
-		if prune && si != 0 && closedPart > bound.value() {
-			c.state = candPruned
-			pruned.Add(1)
-			return
-		}
-		t := tile.Tile{L: intmat.Diag(ext...).Mul(skews[si])}
-		c.fp, c.ex = ev.TileTotalFootprint(t)
-		c.state = candEvaluated
-		evaluated.Add(1)
-		bound.observe(c.fp)
-	})
-	reg.Counter("partition.skew.candidates").Add(evaluated.Load())
-	reg.Counter("partition.skew.pruned").Add(pruned.Load())
-	sp.SetAttr("candidates", int64(n))
-	sp.SetAttr("evaluated", evaluated.Load())
-	sp.SetAttr("pruned", pruned.Load())
-	sp.SetAttr("skews", int64(ns))
+	scan := space.scan(!pruneDisabled.Load())
+	evaluated, pruned := scan.evaluated.Load(), scan.pruned.Load()
+	reg.Counter("partition.skew.candidates").Add(evaluated)
+	reg.Counter("partition.skew.pruned").Add(pruned)
+	sp.SetAttr("candidates", int64(len(scan.cands)))
+	sp.SetAttr("evaluated", evaluated)
+	sp.SetAttr("pruned", pruned)
+	sp.SetAttr("skews", int64(len(space.skews)))
 
 	// Deterministic reduction in enumeration order: first strict
 	// improvement wins, exactly as the sequential scan chose.
-	buildTile := func(i int) tile.Tile {
-		return tile.Tile{L: intmat.Diag(exts[i/ns]...).Mul(skews[i%ns])}
-	}
 	var best SkewPlan
-	bestRect := -1.0
 	found := false
-	for i := range cands {
-		c := &cands[i]
+	for i := range scan.cands {
+		c := &scan.cands[i]
 		if c.state != candEvaluated {
 			continue
 		}
-		if i%ns == 0 && (bestRect < 0 || c.fp < bestRect) {
-			bestRect = c.fp
-		}
 		if !found || c.fp < best.PredictedFootprint {
-			t := buildTile(i)
+			t := space.tile(i)
 			best = SkewPlan{Tile: t, PredictedFootprint: c.fp, Exactness: c.ex}
 			found = true
 			// The decision trace records only the improvements (the chain
@@ -275,9 +188,9 @@ func OptimizeSkew(ctx context.Context, a *footprint.Analysis, procs int, maxSkew
 		}
 	}
 	if !found {
-		return SkewPlan{}, fmt.Errorf("partition: no feasible tile of volume %d", vol)
+		return SkewPlan{}, fmt.Errorf("partition: no feasible tile of volume %d", space.vol)
 	}
-	best.RectBaseline = bestRect
+	best.RectBaseline = scan.rectBaseline(len(space.skews))
 	sp.SetAttr("tile", best.Tile.String())
 	sp.SetAttr("footprint", best.PredictedFootprint)
 	if log != nil {
@@ -287,11 +200,145 @@ func OptimizeSkew(ctx context.Context, a *footprint.Analysis, procs int, maxSkew
 			"footprint":     best.PredictedFootprint,
 			"rect_baseline": best.RectBaseline,
 			"exactness":     best.Exactness.String(),
-			"candidates":    evaluated.Load(),
-			"pruned":        pruned.Load(),
+			"candidates":    evaluated,
+			"pruned":        pruned,
 		})
 	}
 	return best, nil
+}
+
+// skewSpace is the candidate space of one skewed search: candidate i
+// pairs the extents exts[i/len(skews)] with the shear skews[i%len(skews)]
+// (the identity first), and terms holds each (skew, class) pair's
+// shape-independent Theorem 2 coefficients. The argmin (OptimizeSkew) and
+// the top-K (OptimizeSkewTopK) both score through it.
+type skewSpace struct {
+	ev     *footprint.Evaluator
+	vol    int64
+	exts   [][]int64
+	skews  []intmat.Mat
+	terms  [][]skewClassTerms
+	closed []bool // per skew: every class takes Theorem 2's closed form
+}
+
+func newSkewSpace(a *footprint.Analysis, procs int, maxSkew int64) (*skewSpace, error) {
+	space := tile.BoundsOf(a.Nest)
+	l := space.Dim()
+	if l == 0 {
+		return nil, fmt.Errorf("partition: nest has no doall loops")
+	}
+	vol := space.Size() / int64(procs)
+	if vol == 0 {
+		return nil, fmt.Errorf("partition: more processors than iterations")
+	}
+	s := &skewSpace{
+		ev:    footprint.NewEvaluator(a),
+		vol:   vol,
+		exts:  volumeFactorizations(vol, l),
+		skews: unimodularSkews(l, maxSkew),
+	}
+	// Shape-independent Theorem 2 coefficients, once per (skew, class).
+	s.terms = make([][]skewClassTerms, len(s.skews))
+	forEachCandidate(len(s.skews), func(si int) {
+		s.terms[si] = skewTermsFor(s.ev, s.skews[si])
+	})
+	s.closed = make([]bool, len(s.skews))
+	for si, terms := range s.terms {
+		s.closed[si] = !slices.ContainsFunc(terms, func(t skewClassTerms) bool { return !t.closed })
+	}
+	return s, nil
+}
+
+// tile materializes candidate i's tile L = D·S.
+func (s *skewSpace) tile(i int) tile.Tile {
+	ns := len(s.skews)
+	return tile.Tile{L: intmat.Diag(s.exts[i/ns]...).Mul(s.skews[i%ns])}
+}
+
+// closedSum is candidate i's Theorem 2 footprint summed over its
+// closed-form classes from the memoized coefficients, without
+// materializing L. Each term saturates at MaxInt64 rather than wrap, and
+// the accumulation order is Analysis.TileTotalFootprint's: per class the
+// volume term, then the row terms in ascending order.
+func (s *skewSpace) closedSum(i int) float64 {
+	ns := len(s.skews)
+	ext := s.exts[i/ns]
+	total := 0.0
+	for _, t := range s.terms[i%ns] {
+		if !t.closed {
+			continue
+		}
+		total += float64(intmat.SatMul(s.vol, t.volCoeff))
+		for k, rc := range t.rowCoeff {
+			total += float64(intmat.SatMul(s.vol/ext[k], rc))
+		}
+	}
+	return total
+}
+
+// score is candidate i's model footprint: the closed-form sum when every
+// class has coefficients under its skew, else the evaluator's per-tile
+// model, which enumerates the classes without a closed form and scores
+// coefficients beyond int64 as +Inf.
+func (s *skewSpace) score(i int) (float64, footprint.Exactness) {
+	if s.closed[i%len(s.skews)] {
+		return s.closedSum(i), footprint.Approximate
+	}
+	return s.ev.TileTotalFootprint(s.tile(i))
+}
+
+type skewCand struct {
+	fp    float64
+	ex    footprint.Exactness
+	state uint8
+}
+
+// skewScan is the outcome of one skew scan: a candidate per (extents,
+// skew) pair, in enumeration order, and the evaluated / pruned split.
+type skewScan struct {
+	cands             []skewCand
+	evaluated, pruned atomic.Int64
+}
+
+// scan scores every candidate on the engine's worker pool. With L = D·S,
+// every extent positive and S unimodular, L is nonsingular (|det L| =
+// vol), so every candidate is feasible.
+//
+// With prune set, a candidate whose skew leaves classes to the per-tile
+// model is pruned when its closed-form subtotal, an admissible lower bound
+// on the full objective (the other classes contribute ≥ 0), exceeds the
+// best footprint so far: it skips the expensive enumeration. Rect
+// candidates (identity skew) are never pruned: rectBaseline is the exact
+// minimum over all of them.
+func (s *skewSpace) scan(prune bool) *skewScan {
+	ns := len(s.skews)
+	sc := &skewScan{cands: make([]skewCand, len(s.exts)*ns)}
+	bound := newMinBound()
+	forEachCandidate(len(sc.cands), func(i int) {
+		c := &sc.cands[i]
+		if prune && i%ns != 0 && !s.closed[i%ns] && s.closedSum(i) > bound.value() {
+			c.state = candPruned
+			sc.pruned.Add(1)
+			return
+		}
+		c.fp, c.ex = s.score(i)
+		c.state = candEvaluated
+		sc.evaluated.Add(1)
+		bound.observe(c.fp)
+	})
+	return sc
+}
+
+// rectBaseline is the best footprint among the scan's rectangular
+// (identity-skew) candidates.
+func (sc *skewScan) rectBaseline(ns int) float64 {
+	best := -1.0
+	for i := 0; i < len(sc.cands); i += ns {
+		if fp := sc.cands[i].fp; best < 0 || fp < best {
+			best = fp
+		}
+	}
+	return best
 }
 
 // volumeFactorizations enumerates ordered factorizations of v into l

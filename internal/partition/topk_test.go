@@ -85,24 +85,38 @@ func TestRectTopKDeterministicAcrossPoolSizes(t *testing.T) {
 }
 
 func TestSkewTopKFirstMatchesArgmin(t *testing.T) {
-	for name, src := range map[string]string{
-		"example3": paperex.Example3,
-		"example8": paperex.Example8,
+	for name, tc := range map[string]struct {
+		src    string
+		params map[string]int64
+		procs  int
+	}{
+		"example3": {paperex.Example3, map[string]int64{"N": 24}, 8},
+		"example8": {paperex.Example8, map[string]int64{"N": 24}, 8},
+		// |det G'| = 1.6e9 against a per-processor volume of 1e10: the
+		// closed-form terms exceed int64 and must saturate on both paths.
+		"overflow": {"doall (i, 1, 100000) doall (j, 1, 100000) A[40000*i, 40000*j] = A[40000*i + 1, 40000*j] + A[40000*i, 40000*j + 2] enddoall enddoall", nil, 1},
+		// The identity skew's coefficients fit in int64, a shear's do not:
+		// that shear's candidates score through the overflow-checked tile
+		// model instead of leaving the class out of the sum.
+		"overflow-shear": {"doall (i, 1, 8) doall (j, 1, 8) A[3100000000000000000*i, j] = A[3100000000000000000*i, j + 1] + A[3100000000000000000*i, j + 2] enddoall enddoall", nil, 4},
 	} {
-		a := analysisFor(t, src, map[string]int64{"N": 24})
-		argmin, err := OptimizeSkew(context.Background(), a, 8, 2)
+		a := analysisFor(t, tc.src, tc.params)
+		argmin, err := OptimizeSkew(context.Background(), a, tc.procs, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		top, err := OptimizeSkewTopK(a, 8, 2, 3)
+		top, err := OptimizeSkewTopK(a, tc.procs, 2, 3)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if got, want := top[0].Tile.String(), argmin.Tile.String(); got != want {
 			t.Errorf("%s: topk[0] tile %s, argmin tile %s", name, got, want)
 		}
+		if argmin.PredictedFootprint <= 0 {
+			t.Errorf("%s: argmin %v scores no footprint; every tile touches an element", name, argmin)
+		}
 		if top[0].PredictedFootprint != argmin.PredictedFootprint {
-			t.Errorf("%s: topk[0] fp %.1f, argmin fp %.1f",
+			t.Errorf("%s: topk[0] fp %.4g, argmin fp %.4g",
 				name, top[0].PredictedFootprint, argmin.PredictedFootprint)
 		}
 		for i := 1; i < len(top); i++ {

@@ -58,10 +58,11 @@ func FuzzRectFootprint(f *testing.F) {
 	f.Add("doall (i, 0, 7) doall (j, 0, 7) A[i, j] = A[i, j - 1] + A[i - 1, j] enddoall enddoall")
 	f.Add("doall (i, 1, 6) doall (j, 1, 6) B[2*i - j] = B[2*i - j + 3] + B[2*i - j - 2] enddoall enddoall")
 	f.Add("doall (i, 0, 5) doall (j, 0, 5) A[i + j, i - j] = A[i + j + 1, i - j - 1] + B[j, i] enddoall enddoall")
-	// Off-domain nests for the closed-form fast path (see closedform_test.go):
-	// extent at/below the spread coefficient, and dependent subscript columns
-	// whose §3.4.1 reduction leaves a non-square G'. These keep the fuzzer
-	// mutating around the fallback boundary.
+	// Nests at the edge of the closed-form model (also search inputs in
+	// internal/partition's engine tests): extent at/below the spread
+	// coefficient, and dependent subscript columns whose §3.4.1 reduction
+	// leaves a non-square G'. These keep the fuzzer mutating around the
+	// boundary where classes fall back to enumeration.
 	f.Add("doall (i, 0, 4) doall (j, 0, 4) A[i, j] = A[i + 5, j] enddoall enddoall")
 	f.Add("doall (i, 0, 7) doall (j, 0, 7) A[i + j, i + j] = A[i + j - 1, i + j - 1] enddoall enddoall")
 	rnd := rand.New(rand.NewSource(99))

@@ -4,9 +4,11 @@
 # pre-optimization baseline (scripts/.bench_baseline_raw.txt: search/sim
 # rows captured before the parallel/pruned search engine and cachesim
 # interning landed; ServePlanMiss/ServePlanHit captured before the
-# closed-form fast path and zero-alloc miss pipeline). ServeBatch,
-# ServePlanMissClosedForm, CommSetsAnalyze, MsgexecRun, and LowerBound
-# are current-only: they have no pre-optimization capture.
+# zero-alloc miss pipeline and a closed-form rect fast path that has
+# since been removed). ServeBatch, ServePlanMissClosedForm (a cold rect
+# plan on a nest whose classes all score in closed form, so its scan runs
+# inline), CommSetsAnalyze, MsgexecRun, and LowerBound are current-only:
+# they have no pre-optimization capture.
 #
 # Before rewriting the record, the fresh run is guarded against the
 # checked-in BENCH_PARTITION.json: any benchmark that got more than 25%
@@ -35,10 +37,10 @@ cat "$RAW"
 
 if [ "$GUARD" != 0 ] && [ -f BENCH_PARTITION.json ]; then
 	go run ./scripts/benchjson -against BENCH_PARTITION.json -current "$RAW"
-	# The serving fast path is held to a tighter bar: the cold-plan miss
-	# pipeline (including the closed-form path — the ServePlanMiss prefix
-	# covers ServePlanMissClosedForm) and the decoded-hit path must stay
-	# within 5% of the record.
+	# The serving path is held to a tighter bar: the cold-plan miss
+	# pipeline (the ServePlanMiss prefix also covers the inline rect scan's
+	# ServePlanMissClosedForm) and the decoded-hit path must stay within 5%
+	# of the record.
 	go run ./scripts/benchjson -against BENCH_PARTITION.json -current "$RAW" \
 		-only ServePlanHit,ServePlanMiss -threshold 5
 fi

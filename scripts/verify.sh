@@ -21,6 +21,13 @@ fi
 echo '== go build =='
 go build ./...
 
+echo '== planbench: vet and test the benchmark module against this tree =='
+# planbench is its own module (replace looppart => ../), so ./... above
+# does not reach it; a program change that breaks the benchmark's build
+# fails here rather than in a benchmark run.
+go -C planbench vet ./...
+go -C planbench test ./...
+
 echo '== go test -race =='
 go test -race ./...
 
