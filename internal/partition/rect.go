@@ -217,10 +217,10 @@ type rectScan struct {
 //
 // A nest whose every class scores in closed form (RectClosedForm) is
 // scanned inline in enumeration order, where a candidate costs less than
-// a hand-off to the worker pool; any other nest scores on the pool. The
-// scan allocates nothing per candidate: one backing array holds every
-// grid's extents, and the inline scan reuses one scratch buffer for the
-// model's pair bounds.
+// a hand-off to the worker pool; any other nest scores on the pool. One
+// backing array holds every grid's extents, and the inline scan reuses
+// one scratch buffer for the model's pair bounds, so it allocates nothing
+// per candidate.
 func scanRect(ev *footprint.Evaluator, grids [][]int64, sizes []int64, prune bool) *rectScan {
 	l := len(sizes)
 	s := &rectScan{grids: grids, cands: make([]rectCand, len(grids))}
