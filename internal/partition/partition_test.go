@@ -51,6 +51,24 @@ func TestContinuousRatiosExample10(t *testing.T) {
 	}
 }
 
+func TestContinuousRatiosShapeInvariant(t *testing.T) {
+	// A single shape-invariant class constrains no dimension: every
+	// coefficient is zero, and the ratios still exist.
+	a := analyze(t, `
+doall (i, 1, 16)
+  doall (j, 1, 16)
+    A[i,j] = A[i,j]
+  enddoall
+enddoall`, nil)
+	coeffs, ok := ContinuousRatios(a)
+	if !ok {
+		t.Fatal("no ratios")
+	}
+	if coeffs[0] != 0 || coeffs[1] != 0 {
+		t.Fatalf("coeffs = %v, want [0 0]", coeffs)
+	}
+}
+
 func TestOptimizeRectExample8Ratios(t *testing.T) {
 	// N=96, P=16: the optimizer should pick extents close to 2:3:4.
 	a := analyze(t, paperex.Example8, map[string]int64{"N": 96})

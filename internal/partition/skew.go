@@ -287,6 +287,8 @@ func (s *skewSpace) score(i int) (float64, footprint.Exactness) {
 	return s.ev.TileTotalFootprint(s.tile(i))
 }
 
+// skewCand is one candidate of a skew scan and, once evaluated, its
+// footprint.
 type skewCand struct {
 	fp    float64
 	ex    footprint.Exactness
