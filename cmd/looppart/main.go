@@ -119,7 +119,11 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintln(out, "=== program ===")
 	fmt.Fprint(out, prog.Nest.String())
 	fmt.Fprintln(out, "\n=== analysis ===")
-	fmt.Fprint(out, prog.Report().String())
+	report, err := prog.Report()
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(out, report.String())
 
 	plan, err := prog.Partition(*procs, strategy)
 	if err != nil {

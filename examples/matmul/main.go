@@ -35,7 +35,11 @@ enddoall`
 	// The C accumulate is a synchronizing reference: the coherence
 	// system treats it as a write (Appendix A), which the analysis and
 	// simulator account for.
-	fmt.Print(prog.Report())
+	report, err := prog.Report()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(report)
 
 	fmt.Println("\ntile shapes for P=8 (simulated, atomic refs cost extra):")
 	for _, s := range []looppart.Strategy{looppart.Rows, looppart.Rect} {

@@ -33,7 +33,11 @@ enddoall`
 	fmt.Print(prog.Nest.String())
 
 	fmt.Println("\n── stage 2: reference analysis ──")
-	fmt.Print(prog.Report())
+	report, err := prog.Report()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(report)
 
 	fmt.Println("\n── stage 3: loop partitioning (P=16) ──")
 	plan, err := prog.Partition(16, looppart.Rect)

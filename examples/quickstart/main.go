@@ -29,7 +29,11 @@ enddoall`
 	}
 
 	// The analysis: reference classes, spreads, and closed-form ratios.
-	fmt.Print(prog.Report())
+	report, err := prog.Report()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(report)
 
 	// Partition for 100 processors. Auto discovers that column strips
 	// (partition a of the paper's Figure 3) are communication-free.

@@ -27,7 +27,11 @@ enddoall`
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(prog.Report())
+	report, err := prog.Report()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(report)
 	fmt.Println()
 
 	for _, s := range []looppart.Strategy{looppart.Rect, looppart.Skewed, looppart.CommFree} {

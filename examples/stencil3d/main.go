@@ -29,7 +29,11 @@ enddoall`
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(prog.Report())
+	report, err := prog.Report()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(report)
 
 	// Compare partition shapes for 16 processors on the simulator.
 	fmt.Println("\nshape comparison (P=16):")

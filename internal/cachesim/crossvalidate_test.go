@@ -86,7 +86,10 @@ func TestColdMissesEqualExactFootprint(t *testing.T) {
 			pts = append(pts, append([]int64(nil), p...))
 			return true
 		})
-		want := a.ExactTotalFootprint(pts)
+		want, err := a.ExactTotalFootprint(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		// Simulate on one processor.
 		m := mustMachine(t, DefaultConfig(1))
@@ -135,7 +138,11 @@ func TestPartitionedColdMissesEqualPerTileFootprints(t *testing.T) {
 		var want int64
 		for _, procPts := range asg.PointsOf() {
 			if len(procPts) > 0 {
-				want += a.ExactTotalFootprint(procPts)
+				n, err := a.ExactTotalFootprint(procPts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want += n
 			}
 		}
 		m := mustMachine(t, DefaultConfig(procs))

@@ -116,7 +116,8 @@ func rectProcBoxes(spec Spec) ([][]box, error) {
 
 // classRefs resolves the class members' lattice offsets u_x and their
 // roles. Fails (→ scan engine) if any offset is not on the row lattice,
-// which cannot happen for a well-formed class.
+// which cannot happen for a well-formed class, or its elimination
+// overflows int64.
 type classRef struct {
 	u      []int64
 	writer bool
@@ -133,7 +134,10 @@ func resolveClassRefs(c *footprint.Class) ([]classRef, error) {
 		for k := range diff {
 			diff[k] = r.A[k] - base[k]
 		}
-		u, ok := intmat.SolveIntLeft(c.G, diff)
+		u, ok, err := intmat.SolveIntLeftChecked(c.G, diff)
+		if err != nil {
+			return nil, err
+		}
 		if !ok {
 			return nil, fmt.Errorf("commsets: offset of %s not on the class lattice", r)
 		}
@@ -239,7 +243,9 @@ func analyzeClassBoxes(c *footprint.Class, ci int, boxes [][]box, procs int, mat
 			}
 			t := Transfer{From: p, To: q, Words: words}
 			if materialize {
-				t.Elems = mapElems(c, elems)
+				if t.Elems, err = mapElems(c, elems); err != nil {
+					return ClassComm{}, 0, err
+				}
 			}
 			cc.Transfers = append(cc.Transfers, t)
 			cc.Words += words
@@ -305,25 +311,26 @@ func materializeOwned(cc *ClassComm, c *footprint.Class, refs []classRef, writer
 		if err != nil {
 			return err
 		}
-		cc.owned[p] = mapElems(c, elems)
+		if cc.owned[p], err = mapElems(c, elems); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
 // mapElems maps coefficient-space vectors m to data coordinates
-// d = m·G + a_0 (MulVec is the row-vector product of the paper's
-// convention).
-func mapElems(c *footprint.Class, ms [][]int64) []Elem {
+// d = m·G + a_0 (the row-vector product of the paper's convention); a
+// coordinate beyond int64 is an error wrapping intmat.ErrOverflow.
+func mapElems(c *footprint.Class, ms [][]int64) ([]Elem, error) {
 	out := make([]Elem, len(ms))
-	base := c.Refs[0].A
 	for i, m := range ms {
-		d := c.G.MulVec(m)
-		for k := range d {
-			d[k] += base[k]
+		d, err := dataCoords(c.G, c.Refs[0].A, m)
+		if err != nil {
+			return nil, err
 		}
 		out[i] = Elem{Array: c.Array, Index: d}
 	}
-	return out
+	return out, nil
 }
 
 // unionBoxes counts (and optionally enumerates) the union of integer

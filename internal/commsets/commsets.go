@@ -219,7 +219,11 @@ func Compute(ctx context.Context, spec Spec, opts Options) (*Analysis, error) {
 	a.Classes = make([]ClassComm, len(spec.Analysis.Classes))
 	for ci := range spec.Analysis.Classes {
 		c := &spec.Analysis.Classes[ci]
-		if boxErr == nil && intmat.IsOneToOne(c.G) {
+		oneToOne, err := intmat.IsOneToOne(c.G)
+		if err != nil {
+			return nil, err
+		}
+		if boxErr == nil && oneToOne {
 			cc, n, err := analyzeClassBoxes(c, ci, boxes, spec.Procs, opts.Materialize, a)
 			if err == nil {
 				a.Classes[ci] = cc

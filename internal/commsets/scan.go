@@ -79,6 +79,7 @@ func scanClasses(spec Spec, idx []int, opts Options, a *Analysis) (int64, error)
 
 	var visited int64
 	var key []byte
+	var err error
 	spec.Space.ForEach(func(p []int64) bool {
 		proc := spec.Assign(p)
 		for i := range states {
@@ -86,7 +87,10 @@ func scanClasses(spec Spec, idx []int, opts Options, a *Analysis) (int64, error)
 			for ri := range st.c.Refs {
 				r := &st.c.Refs[ri]
 				visited++
-				d := dataCoords(r, p)
+				var d []int64
+				if d, err = dataCoords(r.G, r.A, p); err != nil {
+					return false
+				}
 				key = appendElemKey(key[:0], d)
 				rec, ok := st.elems[string(key)]
 				if !ok {
@@ -112,6 +116,9 @@ func scanClasses(spec Spec, idx []int, opts Options, a *Analysis) (int64, error)
 		}
 		return true
 	})
+	if err != nil {
+		return 0, err
+	}
 
 	for i, ci := range idx {
 		st := &states[i]
@@ -170,14 +177,15 @@ func scanClasses(spec Spec, idx []int, opts Options, a *Analysis) (int64, error)
 // scanBackwardRAW conservatively flags same-epoch cross-processor reads
 // of earlier writes for a scan-engine class: when any (writer, reader)
 // offset pair is lexicographically backward — or cannot be resolved
-// because G is rank-deficient — any cross-processor transfer in the
-// class may carry a backward dependence.
+// because G is rank-deficient or its elimination overflows int64 — any
+// cross-processor transfer in the class may carry a backward dependence.
 func scanBackwardRAW(c *footprint.Class, cc *ClassComm, a *Analysis) {
 	if cc.Words == 0 || a.BackwardRAW {
 		return
 	}
 	base := c.Refs[0].A
-	oneToOne := intmat.IsOneToOne(c.G)
+	oneToOne, err := intmat.IsOneToOne(c.G)
+	oneToOne = oneToOne && err == nil
 	var writers, readers [][]int64
 	for i := range c.Refs {
 		r := &c.Refs[i]
@@ -185,8 +193,8 @@ func scanBackwardRAW(c *footprint.Class, cc *ClassComm, a *Analysis) {
 		for k := range diff {
 			diff[k] = r.A[k] - base[k]
 		}
-		u, ok := intmat.SolveIntLeft(c.G, diff)
-		if !ok || !oneToOne {
+		u, ok, err := intmat.SolveIntLeftChecked(c.G, diff)
+		if !ok || err != nil || !oneToOne {
 			u = nil
 		}
 		if isWriter(r) {
@@ -214,17 +222,20 @@ func scanBackwardRAW(c *footprint.Class, cc *ClassComm, a *Analysis) {
 	}
 }
 
-// dataCoords evaluates d = p·G + a exactly.
-func dataCoords(r *footprint.Ref, p []int64) []int64 {
-	d := make([]int64, len(r.A))
-	for j := range d {
-		v := r.A[j]
-		for k := range p {
-			v += p[k] * r.G.At(k, j)
-		}
-		d[j] = v
+// dataCoords evaluates d = p·G + a exactly; a coordinate beyond int64 is
+// an error wrapping intmat.ErrOverflow.
+func dataCoords(g intmat.Mat, a, p []int64) ([]int64, error) {
+	d := make([]int64, len(a))
+	if err := g.MulVecInto(p, d); err != nil {
+		return nil, err
 	}
-	return d
+	for j := range d {
+		var ok bool
+		if d[j], ok = intmat.CheckedAdd(d[j], a[j]); !ok {
+			return nil, fmt.Errorf("%w: data coordinate %d", intmat.ErrOverflow, j)
+		}
+	}
+	return d, nil
 }
 
 func appendElemKey(b []byte, d []int64) []byte {

@@ -268,7 +268,10 @@ func E3() Result {
 		L1, L2 := dims[0], dims[1]
 		t := tile.Parallelepiped(intmat.FromRows([][]int64{{L1, L1}, {L2, 0}}))
 		vol, _ := single.SingleFootprintVolume(t)
-		exact := footprint.ExactClassFootprint(single, tile.OriginPoints(t))
+		exact, err := footprint.ExactClassFootprint(single, tile.OriginPoints(t))
+		if err != nil {
+			return errResult(id, title, claim, err)
+		}
 		rows = append(rows, Row{
 			fmt.Sprintf("L1=%d L2=%d: |det LG| vs exact", L1, L2),
 			float64(exact), "points",
@@ -305,7 +308,11 @@ func E4() Result {
 	} {
 		t := tile.Parallelepiped(l)
 		model, _ := bClass.TileFootprint(t)
-		exact := float64(footprint.ExactClassFootprint(bClass, tile.OriginPoints(t)))
+		n, err := footprint.ExactClassFootprint(bClass, tile.OriginPoints(t))
+		if err != nil {
+			return errResult(id, title, claim, err)
+		}
+		exact := float64(n)
 		relErr := math.Abs(model-exact) / exact
 		rows = append(rows, Row{
 			fmt.Sprintf("L=%v", l), exact, "points",
@@ -327,7 +334,10 @@ func E5() Result {
 	if err != nil {
 		return errResult(id, title, claim, err)
 	}
-	coeffs, ok := partition.ContinuousRatios(prog.Analysis)
+	coeffs, ok, err := partition.ContinuousRatios(prog.Analysis)
+	if err != nil {
+		return errResult(id, title, claim, err)
+	}
 	if !ok {
 		return errResult(id, title, claim, fmt.Errorf("no closed form"))
 	}
@@ -417,7 +427,10 @@ func E7() Result {
 	if err != nil {
 		return errResult(id, title, claim, err)
 	}
-	coeffs, ok := partition.ContinuousRatios(prog.Analysis)
+	coeffs, ok, err := partition.ContinuousRatios(prog.Analysis)
+	if err != nil {
+		return errResult(id, title, claim, err)
+	}
 	if !ok {
 		return errResult(id, title, claim, fmt.Errorf("no closed form"))
 	}
@@ -433,8 +446,11 @@ func E7() Result {
 	var cands []cand
 	for _, grid := range [][2]int64{{1, 8}, {2, 4}, {4, 2}, {8, 1}} {
 		ext := []int64{24 / grid[0], 24 / grid[1]}
-		pts := rectPoints(ext)
-		cands = append(cands, cand{ext, prog.Analysis.ExactTotalFootprint(pts)})
+		exact, err := prog.Analysis.ExactTotalFootprint(rectPoints(ext))
+		if err != nil {
+			return errResult(id, title, claim, err)
+		}
+		cands = append(cands, cand{ext, exact})
 	}
 	best := cands[0]
 	for _, c := range cands[1:] {
@@ -442,8 +458,10 @@ func E7() Result {
 			best = c
 		}
 	}
-	planPts := rectPoints(plan.Tile.Extents())
-	planExact := prog.Analysis.ExactTotalFootprint(planPts)
+	planExact, err := prog.Analysis.ExactTotalFootprint(rectPoints(plan.Tile.Extents()))
+	if err != nil {
+		return errResult(id, title, claim, err)
+	}
 	rows := []Row{
 		{"traffic coefficients (i,j)", coeffs[0], "", fmt.Sprintf("full: %v", coeffs)},
 		{"optimizer tile exact footprint", float64(planExact), "points", fmt.Sprint(plan.Tile)},
@@ -471,8 +489,8 @@ func E8() Result {
 			bClass = c
 		}
 	}
-	u, integral, ok := bClass.SpreadCoeffs()
-	if !ok || !integral {
+	u, integral, ok, err := bClass.SpreadCoeffs()
+	if err != nil || !ok || !integral {
 		return errResult(id, title, claim, fmt.Errorf("spread decomposition failed"))
 	}
 	pass := u[0] == 3 && u[1] == 1
@@ -480,7 +498,11 @@ func E8() Result {
 	rows = append(rows, Row{"spread coefficients |u|", u[0], "", fmt.Sprintf("full: %v (paper 3,1)", u)})
 	for _, ext := range [][]int64{{6, 6}, {9, 4}, {12, 3}, {4, 9}} {
 		model, _ := bClass.RectFootprint(ext)
-		exact := float64(footprint.ExactClassFootprint(bClass, rectPoints(ext)))
+		n, err := footprint.ExactClassFootprint(bClass, rectPoints(ext))
+		if err != nil {
+			return errResult(id, title, claim, err)
+		}
+		exact := float64(n)
 		rows = append(rows, Row{
 			fmt.Sprintf("B footprint ext=%v", ext), exact, "points",
 			fmt.Sprintf("model %.0f", model),
@@ -515,8 +537,14 @@ func E9() Result {
 				for u2 := int64(0); u2 <= 3; u2++ {
 					bounds := []int64{l1, l2}
 					b := lattice.New(g, bounds)
-					pts := b.Points()
-					tvec := g.MulVec([]int64{u1, u2})
+					pts, err := b.Points()
+					if err != nil {
+						return errResult(id, title, claim, err)
+					}
+					tvec, err := g.MulVecChecked([]int64{u1, u2})
+					if err != nil {
+						return errResult(id, title, claim, err)
+					}
 					exact := lattice.UnionSize(pts, lattice.Translate(pts, tvec))
 					model := lattice.UnionSizeModel(bounds, []int64{u1, u2})
 					lin := lattice.UnionSizeLinearized(bounds, []int64{u1, u2})
@@ -683,7 +711,11 @@ func E13() Result {
 		}
 		for _, ext := range [][]int64{{4, 4}, {8, 2}, {3, 5}} {
 			model, _ := c.RectFootprint(ext)
-			exact := float64(footprint.ExactClassFootprint(c, rectPoints(ext)))
+			n, err := footprint.ExactClassFootprint(c, rectPoints(ext))
+			if err != nil {
+				return errResult(id, title, claim, err)
+			}
+			exact := float64(n)
 			rows = append(rows, Row{
 				fmt.Sprintf("A[i,2i,i+j] ext=%v", ext), exact, "points",
 				fmt.Sprintf("model %.0f", model),
@@ -705,7 +737,11 @@ func E13() Result {
 		}
 		ext := []int64{8, 4, 2} // i1 extent irrelevant
 		model, _ := c.RectFootprint(ext)
-		exact := float64(footprint.ExactClassFootprint(c, rectPoints(ext)))
+		n, err := footprint.ExactClassFootprint(c, rectPoints(ext))
+		if err != nil {
+			return errResult(id, title, claim, err)
+		}
+		exact := float64(n)
 		rows = append(rows, Row{"A[i3+2,5,i2-1,4] ext=[8,4,2]", exact, "points", fmt.Sprintf("model %.0f (want 4*2)", model)})
 		if model != exact || exact != 8 {
 			pass = false

@@ -352,11 +352,22 @@ func E20() Result {
 		for _, offs := range offsets {
 			refs := make([]footprint.Ref, len(offs))
 			for i, u := range offs {
-				refs[i] = footprint.Ref{Array: "A", G: g, A: g.MulVec(u)}
+				a, err := g.MulVecChecked(u)
+				if err != nil {
+					return errResult(id, title, claim, err)
+				}
+				refs[i] = footprint.Ref{Array: "A", G: g, A: a}
 			}
-			c := footprint.NewClass("A", g, refs)
+			c, err := footprint.NewClass("A", g, refs)
+			if err != nil {
+				return errResult(id, title, claim, err)
+			}
 			for _, ext := range [][]int64{{5, 5}, {8, 4}} {
-				exact := float64(footprint.ExactClassFootprint(c, rectPoints(ext)))
+				n, err := footprint.ExactClassFootprint(c, rectPoints(ext))
+				if err != nil {
+					return errResult(id, title, claim, err)
+				}
+				exact := float64(n)
 				lin, _ := c.RectFootprintLinearized(ext)
 				ref, _ := c.RectFootprintRefined(ext)
 				lo, hi, ok := c.RectFootprintBounds(ext)

@@ -2,7 +2,6 @@ package footprint
 
 import (
 	"math"
-	"math/big"
 
 	"looppart/internal/intmat"
 	"looppart/internal/lattice"
@@ -13,10 +12,9 @@ import (
 // shape-independent terms hoisted out of the per-candidate loop. The
 // searches in internal/partition evaluate hundreds to thousands of
 // candidate shapes against the same Analysis; everything that does not
-// depend on the tile — the class invariance test, the |det G'| volume
-// factor, the spread coefficients uᵢ (a rational linear solve per class),
-// and the projected spread â' — is computed once here instead of once per
-// candidate.
+// depend on the tile — the class invariance test, the spread
+// coefficients uᵢ (a Cramer solve per class), and the projected spread
+// â' — is computed once here instead of once per candidate.
 //
 // The evaluator is a pure accelerator: RectTotalFootprint and
 // TileTotalFootprint return bit-identical values to the Analysis methods
@@ -27,9 +25,6 @@ type Evaluator struct {
 	a       *Analysis
 	classes []classEval
 
-	// sumDetGr is Σ |det G'| over square classes — the coefficient of the
-	// admissible volume lower bound for hyperparallelepiped tiles.
-	sumDetGr float64
 	// numSquare counts classes with square nonsingular reduced G — the
 	// coefficient of the rectangular volume lower bound.
 	numSquare int
@@ -46,6 +41,11 @@ type classEval struct {
 	u   []float64
 	uOK bool
 
+	// uOverflow and pairOverflow record a Theorem 4 or Lemma 3
+	// decomposition whose determinants exceed int64; where
+	// Class.RectFootprint would use it, the class scores +Inf.
+	uOverflow, pairOverflow bool
+
 	// pairU is the integral translation decomposition of a two-reference
 	// class (Proposition 1 / Lemma 3), rounded to int64 as RectFootprint
 	// does; nil when the class has ≠ 2 refs or the solution is not
@@ -53,10 +53,9 @@ type classEval struct {
 	pairU []int64
 
 	// gr is the reduced reference matrix, projSpread the projected spread
-	// â' (Theorem 2's replacement row), detGr = |det G'|.
+	// â' (Theorem 2's replacement row).
 	gr         intmat.Mat
 	projSpread []int64
-	detGr      float64
 }
 
 // NewEvaluator analyzes a once and returns an evaluator over it.
@@ -68,19 +67,14 @@ func NewEvaluator(a *Analysis) *Evaluator {
 		ce.square = ce.gr.Rows() == ce.gr.Cols() && ce.gr.IsNonsingular()
 		if ce.square {
 			ce.projSpread = c.Reduced.Project(c.Spread())
-			if d, err := ce.gr.DetChecked(); err == nil {
-				ce.detGr = math.Abs(float64(d))
-			} else {
-				// det G' beyond int64: exact magnitude via big.Int, rounded
-				// to float64 — only the lower-bound coefficient needs it.
-				f, _ := new(big.Float).SetInt(ce.gr.DetBig()).Float64()
-				ce.detGr = math.Abs(f)
-			}
-			e.sumDetGr += ce.detGr
 			e.numSquare++
-			ce.u, _, ce.uOK = c.SpreadCoeffs()
+			var err error
+			ce.u, _, ce.uOK, err = c.SpreadCoeffs()
+			ce.uOverflow = err != nil
 			if len(c.Refs) == 2 {
-				if u, integral, ok := c.PairCoeffs(); ok && integral {
+				u, integral, ok, err := c.PairCoeffs()
+				ce.pairOverflow = err != nil
+				if ok && integral {
 					ce.pairU = make([]int64, len(u))
 					for k := range u {
 						ce.pairU[k] = int64(math.Round(u[k]))
@@ -133,7 +127,7 @@ func (e *Evaluator) RectClosedForm() bool {
 		if !ce.square {
 			return false
 		}
-		if len(ce.c.Refs) != 1 && ce.pairU == nil && !ce.uOK {
+		if len(ce.c.Refs) != 1 && ce.pairU == nil && !ce.uOK && !ce.pairOverflow && !ce.uOverflow {
 			return false
 		}
 	}
@@ -154,6 +148,9 @@ func (ce *classEval) rectFootprint(ext, scratch []int64) (float64, Exactness) {
 	if len(ce.c.Refs) == 1 {
 		return base, Exact
 	}
+	if ce.pairOverflow {
+		return math.Inf(1), Approximate
+	}
 	if ce.pairU != nil {
 		bounds := scratch
 		if len(bounds) < len(ext) {
@@ -167,6 +164,9 @@ func (ce *classEval) rectFootprint(ext, scratch []int64) (float64, Exactness) {
 	}
 	// Linearized Theorem 4 (Class.RectFootprintLinearized) on the cached
 	// coefficients.
+	if ce.uOverflow {
+		return math.Inf(1), Approximate
+	}
 	if !ce.uOK {
 		return ce.c.rectEnumOrModel(ext)
 	}
@@ -222,12 +222,4 @@ func (e *Evaluator) RectLowerBound(ext []int64) float64 {
 		vol *= float64(x)
 	}
 	return float64(e.numSquare) * vol
-}
-
-// TileLowerBound is the hyperparallelepiped analogue of RectLowerBound for
-// a tile of |det L| = volume: each square class contributes at least
-// |det LG'| = |det L|·|det G'| (the Theorem 2 spread terms are absolute
-// values, hence nonnegative).
-func (e *Evaluator) TileLowerBound(volume int64) float64 {
-	return e.sumDetGr * float64(volume)
 }

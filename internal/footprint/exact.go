@@ -17,8 +17,10 @@ import (
 // applies (§3.8's hard cases).
 
 // ExactClassFootprint returns |∪_r F(r)| over the class members for the
-// given iteration points, using the full (unreduced) G.
-func ExactClassFootprint(c Class, iterPts [][]int64) int64 {
+// given iteration points, using the full (unreduced) G. An element index
+// p·G beyond int64 is an error wrapping intmat.ErrOverflow, as in every
+// enumeration here.
+func ExactClassFootprint(c Class, iterPts [][]int64) (int64, error) {
 	return ExactClassFootprintFunc(c, func(yield func(p []int64) bool) {
 		for _, p := range iterPts {
 			if !yield(p) {
@@ -38,19 +40,25 @@ func ExactClassFootprint(c Class, iterPts [][]int64) int64 {
 // to one image; one that does not keeps one image per point. This is the
 // enumeration path for tiles too large to materialize (see
 // SetEnumerationBudget).
-func ExactClassFootprintFunc(c Class, forEach func(yield func(p []int64) bool)) int64 {
+func ExactClassFootprintFunc(c Class, forEach func(yield func(p []int64) bool)) (int64, error) {
 	cr := classRows{m: c.G.Cols(), refs: c.Refs, dedupAt: compactAt}
+	var err error
 	forEach(func(p []int64) bool {
 		n := len(cr.rows)
 		cr.rows = slices.Grow(cr.rows, cr.m)[:n+cr.m]
-		c.G.MulVecInto(p, cr.rows[n:])
+		if err = c.G.MulVecInto(p, cr.rows[n:]); err != nil {
+			return false
+		}
 		if cr.points++; cr.points >= cr.dedupAt {
 			cr.dedup()
 			cr.dedupAt = max(compactAt, 2*cr.points)
 		}
 		return true
 	})
-	return countElements([]classRows{cr})
+	if err != nil {
+		return 0, err
+	}
+	return countElements([]classRows{cr}), nil
 }
 
 // compactAt is the number of buffered images at which
@@ -62,7 +70,7 @@ const compactAt = 1 << 12
 // touched by the iteration points, across ALL classes referencing it
 // (classes of the same array are normally disjoint — that is why they are
 // separate classes — but this function does not assume it).
-func (a *Analysis) ExactArrayFootprint(array string, iterPts [][]int64) int64 {
+func (a *Analysis) ExactArrayFootprint(array string, iterPts [][]int64) (int64, error) {
 	var classes []classRows
 	for _, c := range a.Classes {
 		if c.Array != array {
@@ -71,11 +79,13 @@ func (a *Analysis) ExactArrayFootprint(array string, iterPts [][]int64) int64 {
 		cr := classRows{m: c.G.Cols(), points: len(iterPts), refs: c.Refs}
 		cr.rows = make([]int64, cr.points*cr.m)
 		for i, p := range iterPts {
-			c.G.MulVecInto(p, cr.row(i))
+			if err := c.G.MulVecInto(p, cr.row(i)); err != nil {
+				return 0, err
+			}
 		}
 		classes = append(classes, cr)
 	}
-	return countElements(classes)
+	return countElements(classes), nil
 }
 
 // classRows holds the images p·G of one class's iteration points, m
@@ -226,16 +236,20 @@ func countElementStrings(classes []classRows) int64 {
 // ExactTotalFootprint sums ExactArrayFootprint over all arrays: the total
 // number of distinct data elements the iteration points touch — the
 // cold-miss count of a tile on an infinite cache with unit lines.
-func (a *Analysis) ExactTotalFootprint(iterPts [][]int64) int64 {
+func (a *Analysis) ExactTotalFootprint(iterPts [][]int64) (int64, error) {
 	arrays := map[string]bool{}
 	for _, c := range a.Classes {
 		arrays[c.Array] = true
 	}
 	var total int64
 	for arr := range arrays {
-		total += a.ExactArrayFootprint(arr, iterPts)
+		n, err := a.ExactArrayFootprint(arr, iterPts)
+		if err != nil {
+			return 0, err
+		}
+		total += n
 	}
-	return total
+	return total, nil
 }
 
 // ExactLineFootprint counts the distinct cache lines the iteration points
@@ -246,7 +260,10 @@ func (a *Analysis) ExactLineFootprint(iterPts [][]int64, mm *layout.MemoryMap) (
 	lines := make(map[int64]struct{})
 	for _, c := range a.Classes {
 		for _, p := range iterPts {
-			base := c.G.MulVec(p)
+			base, err := c.G.MulVecChecked(p)
+			if err != nil {
+				return 0, err
+			}
 			idx := make([]int64, len(base))
 			for _, r := range c.Refs {
 				for k := range base {

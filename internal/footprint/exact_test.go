@@ -13,11 +13,11 @@ import (
 
 // stringKeyCount is the reference counter the integer keys replace: one
 // string key per element p·G + a, with int64 wraparound on the offset.
-func stringKeyCount(classes []Class, pts [][]int64) int64 {
+func stringKeyCount(t testing.TB, classes []Class, pts [][]int64) int64 {
 	seen := make(map[string]struct{})
 	for _, c := range classes {
 		for _, p := range pts {
-			base := c.G.MulVec(p)
+			base := mulVec(t, c.G, p)
 			for _, r := range c.Refs {
 				var b strings.Builder
 				for k := range base {
@@ -75,7 +75,7 @@ func TestCountElementsMatchesStringKeys(t *testing.T) {
 					refs[r].A[k] = randomOffset(rng, far && rng.Intn(2) == 0)
 				}
 			}
-			classes = append(classes, NewClass("A", g, refs))
+			classes = append(classes, mustClass(t, "A", g, refs))
 		}
 		pts := make([][]int64, rng.Intn(40))
 		for i := range pts {
@@ -85,11 +85,11 @@ func TestCountElementsMatchesStringKeys(t *testing.T) {
 			}
 		}
 
-		if got, want := ExactClassFootprint(classes[0], pts), stringKeyCount(classes[:1], pts); got != want {
+		if got, want := exactClass(t, classes[0], pts), stringKeyCount(t, classes[:1], pts); got != want {
 			t.Fatalf("trial %d: ExactClassFootprint = %d, string keys %d (class %+v)", trial, got, want, classes[0])
 		}
 		a := &Analysis{Classes: classes}
-		if got, want := a.ExactArrayFootprint("A", pts), stringKeyCount(classes, pts); got != want {
+		if got, want := exactArray(t, a, "A", pts), stringKeyCount(t, classes, pts); got != want {
 			t.Fatalf("trial %d: ExactArrayFootprint = %d, string keys %d", trial, got, want)
 		}
 
@@ -97,7 +97,9 @@ func TestCountElementsMatchesStringKeys(t *testing.T) {
 		for i, c := range classes {
 			rows[i] = classRows{m: m, points: len(pts), refs: c.Refs, rows: make([]int64, len(pts)*m)}
 			for j, p := range pts {
-				c.G.MulVecInto(p, rows[i].row(j))
+				if err := c.G.MulVecInto(p, rows[i].row(j)); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		if len(pts) > 0 {
@@ -116,8 +118,8 @@ func TestCountElementsMatchesStringKeys(t *testing.T) {
 // A class with no points, or a point set with no offsets, touches nothing;
 // a rank-0 array (no subscripts) is one element.
 func TestCountElementsEdgeCases(t *testing.T) {
-	c := NewClass("A", intmat.FromRows([][]int64{{1}}), []Ref{{A: []int64{0}}})
-	if got := ExactClassFootprint(c, nil); got != 0 {
+	c := mustClass(t, "A", intmat.FromRows([][]int64{{1}}), []Ref{{A: []int64{0}}})
+	if got := exactClass(t, c, nil); got != 0 {
 		t.Errorf("no points: %d elements, want 0", got)
 	}
 	scalar := classRows{m: 0, points: 3, refs: []Ref{{A: []int64{}}, {A: []int64{}}}}
@@ -146,25 +148,25 @@ func TestExactClassFootprintFuncDedupsImages(t *testing.T) {
 		for i, a := range tc.offs {
 			refs[i].A = a
 		}
-		c := NewClass("A", intmat.FromRows(tc.g), refs)
+		c := mustClass(t, "A", intmat.FromRows(tc.g), refs)
 		rect := tile.Rect(tc.ext...)
 		stream := func(yield func(p []int64) bool) {
 			if err := rect.ForEachPoint(yield); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if got, want := ExactClassFootprintFunc(c, stream), stringKeyCount([]Class{c}, tile.OriginPoints(rect)); got != want {
+		if got, want := exactClassFunc(t, c, stream), stringKeyCount(t, []Class{c}, tile.OriginPoints(rect)); got != want {
 			t.Errorf("%s: %d elements, string keys %d", tc.name, got, want)
 		}
 	}
 
 	// 65,536 points onto 64 images: without deduplication the images and
 	// keys alone would take 1.5 MB.
-	c := NewClass("A", intmat.FromRows([][]int64{{0}, {1}}), []Ref{{A: []int64{0}}, {A: []int64{1}}})
+	c := mustClass(t, "A", intmat.FromRows([][]int64{{0}, {1}}), []Ref{{A: []int64{0}}, {A: []int64{1}}})
 	rect := tile.Rect(1024, 64)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	n := ExactClassFootprintFunc(c, func(yield func(p []int64) bool) { _ = rect.ForEachPoint(yield) })
+	n := exactClassFunc(t, c, func(yield func(p []int64) bool) { _ = rect.ForEachPoint(yield) })
 	runtime.ReadMemStats(&after)
 	if n != 65 {
 		t.Fatalf("projecting class: %d elements, want 65", n)

@@ -24,7 +24,9 @@ import (
 
 // RectFootprintBounds returns pairwise inclusion–exclusion bounds on the
 // cumulative footprint of a rectangular tile. ok is false when the
-// reduced G is not square nonsingular (no closed pairwise form).
+// reduced G is not square nonsingular (no closed pairwise form). A pair
+// whose translation decomposition overflows int64 makes both bounds +Inf,
+// as every model in this package scores an unrepresentable footprint.
 func (c Class) RectFootprintBounds(ext []int64) (lower, upper float64, ok bool) {
 	gr := c.Reduced.G
 	if gr.Rows() != gr.Cols() || !gr.IsNonsingular() {
@@ -38,12 +40,14 @@ func (c Class) RectFootprintBounds(ext []int64) (lower, upper float64, ok bool) 
 	if k == 1 {
 		return base, base, true
 	}
+	overflow := false
 	pairOverlap := func(r, s int) float64 {
 		diff := make([]int64, len(c.Refs[r].A))
 		for d := range diff {
 			diff[d] = c.Refs[s].A[d] - c.Refs[r].A[d]
 		}
-		sol, solOK := solveReduced(c.Reduced, diff)
+		sol, _, solOK, err := solveLeftFloat(c.Reduced.G, c.Reduced.Project(diff))
+		overflow = overflow || err != nil
 		if !solOK {
 			return 0
 		}
@@ -83,15 +87,10 @@ func (c Class) RectFootprintBounds(ext []int64) (lower, upper float64, ok bool) 
 	if upper < lower {
 		upper = lower
 	}
+	if overflow {
+		return math.Inf(1), math.Inf(1), true
+	}
 	return lower, upper, true
-}
-
-// solveReduced solves diff' = u·G' over the rationals and returns the
-// coefficient magnitudes.
-func solveReduced(red Reduction, diff []int64) ([]float64, bool) {
-	target := red.Project(diff)
-	sol, ok := solveLeftFloat(red.G, target)
-	return sol, ok
 }
 
 // chainOrder sorts reference indices by the projection of their offsets
@@ -127,6 +126,9 @@ func (c Class) RectFootprintRefined(ext []int64) (float64, Exactness) {
 	lo, hi, ok := c.RectFootprintBounds(ext)
 	if !ok {
 		return c.RectFootprint(ext)
+	}
+	if math.IsInf(lo, 1) {
+		return lo, Approximate
 	}
 	if lo == hi {
 		return lo, Exact

@@ -24,15 +24,15 @@ func TestBoundsBracketExactRandom(t *testing.T) {
 		refs := make([]Ref, k)
 		for i := range refs {
 			u := []int64{int64(rng.Intn(7) - 3), int64(rng.Intn(7) - 3)}
-			refs[i] = Ref{Array: "A", G: g, A: g.MulVec(u)}
+			refs[i] = Ref{Array: "A", G: g, A: mulVec(t, g, u)}
 		}
-		c := newClass("A", g, refs)
+		c := mustClass(t, "A", g, refs)
 		ext := []int64{int64(rng.Intn(6) + 3), int64(rng.Intn(6) + 3)}
 		lo, hi, ok := c.RectFootprintBounds(ext)
 		if !ok {
 			t.Fatalf("trial %d: bounds refused", trial)
 		}
-		exact := float64(c.enumerateRect(ext))
+		exact := float64(enumRect(t, c, ext))
 		if exact < lo-1e-9 || exact > hi+1e-9 {
 			t.Fatalf("trial %d: exact %v outside [%v, %v] (G=%v refs=%v ext=%v)",
 				trial, exact, lo, hi, g, refs, ext)
@@ -49,7 +49,7 @@ func TestBoundsSinglePairMatchLemma3(t *testing.T) {
 		if !ok {
 			t.Fatal("refused")
 		}
-		exact := float64(b.enumerateRect(ext))
+		exact := float64(enumRect(t, b, ext))
 		if lo != exact || hi != exact {
 			t.Fatalf("ext %v: bounds [%v,%v] != exact %v", ext, lo, hi, exact)
 		}
@@ -66,9 +66,9 @@ func TestRefinedBeatsLinearizedOnCorners(t *testing.T) {
 		{Array: "A", G: g, A: []int64{0, 3}},
 		{Array: "A", G: g, A: []int64{3, 3}},
 	}
-	c := newClass("A", g, refs)
+	c := mustClass(t, "A", g, refs)
 	ext := []int64{5, 5}
-	exact := float64(c.enumerateRect(ext))
+	exact := float64(enumRect(t, c, ext))
 	lin, _ := c.RectFootprintLinearized(ext)
 	ref, _ := c.RectFootprintRefined(ext)
 	errLin := absf(lin - exact)
@@ -126,7 +126,7 @@ func BenchmarkRectFootprintBounds(b *testing.B) {
 		{Array: "A", G: g, A: []int64{0, 3}},
 		{Array: "A", G: g, A: []int64{3, 3}},
 	}
-	c := newClass("A", g, refs)
+	c := mustClass(b, "A", g, refs)
 	ext := []int64{10, 10}
 	for i := 0; i < b.N; i++ {
 		_, _, _ = c.RectFootprintBounds(ext)

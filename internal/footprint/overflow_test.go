@@ -39,11 +39,11 @@ func TestWriteIntMinInt64(t *testing.T) {
 // collapsed into one key.
 func TestExactFootprintExtremeOffsets(t *testing.T) {
 	g := intmat.FromRows([][]int64{{1}})
-	c := NewClass("A", g, []Ref{
+	c := mustClass(t, "A", g, []Ref{
 		{A: []int64{math.MinInt64}},
 		{A: []int64{math.MinInt64 + 1}},
 	})
-	got := ExactClassFootprint(c, [][]int64{{0}, {1}})
+	got := exactClass(t, c, [][]int64{{0}, {1}})
 	// Points {Min, Min+1} ∪ {Min+1, Min+2} = 3 distinct elements.
 	if got != 3 {
 		t.Errorf("ExactClassFootprint near MinInt64 = %d, want 3", got)
@@ -58,7 +58,7 @@ func TestEnumerationBudgetRect(t *testing.T) {
 	// keeps 2 cols? build directly): use a 2-deep nest mapping to 1-D data
 	// with dependent columns so no closed form applies.
 	g := intmat.FromRows([][]int64{{1, 2}, {2, 4}})
-	c := NewClass("A", g, []Ref{{A: []int64{0, 0}}, {A: []int64{1, 1}}})
+	c := mustClass(t, "A", g, []Ref{{A: []int64{0, 0}}, {A: []int64{1, 1}}})
 	ext := []int64{8, 8}
 
 	prev := SetEnumerationBudget(1 << 30)
@@ -97,7 +97,7 @@ func TestEnumerationBudgetRect(t *testing.T) {
 
 func TestEnumerationBudgetTile(t *testing.T) {
 	g := intmat.FromRows([][]int64{{1, 2}, {2, 4}})
-	c := NewClass("A", g, []Ref{{A: []int64{0, 0}}})
+	c := mustClass(t, "A", g, []Ref{{A: []int64{0, 0}}})
 	tl := tile.Rect(6, 6)
 
 	prev := SetEnumerationBudget(1 << 30)
@@ -124,7 +124,7 @@ func TestEnumerationBudgetTile(t *testing.T) {
 // small or negative) determinant.
 func TestTileFootprintOverflowInf(t *testing.T) {
 	g := intmat.FromRows([][]int64{{1, 0}, {0, 1}})
-	c := NewClass("A", g, []Ref{{A: []int64{0, 0}}, {A: []int64{1, 0}}})
+	c := mustClass(t, "A", g, []Ref{{A: []int64{0, 0}}, {A: []int64{1, 0}}})
 	huge := tile.Tile{L: intmat.Diag(int64(1)<<40, int64(1)<<40)}
 	fp, ex := c.TileFootprint(huge)
 	if !math.IsInf(fp, 1) {

@@ -11,6 +11,7 @@ package footprint
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -211,12 +212,20 @@ func Analyze(n *loopir.Nest) (*Analysis, error) {
 			if used[j] || rj.Array != ri.Array || !rj.G.Equal(ri.G) {
 				continue
 			}
-			if Intersecting(ri.G, ri.A, rj.A) {
+			meets, err := Intersecting(ri.G, ri.A, rj.A)
+			if err != nil {
+				return nil, err
+			}
+			if meets {
 				members = append(members, *rj)
 				used[j] = true
 			}
 		}
-		classes = append(classes, newClass(ri.Array, ri.G, members))
+		c, err := newClass(ri.Array, ri.G, members)
+		if err != nil {
+			return nil, err
+		}
+		classes = append(classes, c)
 	}
 	return &Analysis{Nest: n, Vars: vars, Classes: classes}, nil
 }
@@ -226,11 +235,16 @@ func Analyze(n *loopir.Nest) (*Analysis, error) {
 // integer combination of the rows of G. (The iteration space is treated as
 // unbounded here, the paper's working assumption that tile sizes dominate
 // offset spreads; bounded-tile intersection is Theorem 3, in package
-// lattice.)
-func Intersecting(g intmat.Mat, a1, a2 []int64) bool {
+// lattice.) An offset difference or lattice elimination beyond int64 is
+// an error wrapping intmat.ErrOverflow.
+func Intersecting(g intmat.Mat, a1, a2 []int64) (bool, error) {
 	diff := make([]int64, len(a1))
 	for k := range a1 {
-		diff[k] = a2[k] - a1[k]
+		d, ok := intmat.CheckedAdd(a2[k], -a1[k])
+		if !ok || a1[k] == math.MinInt64 {
+			return false, fmt.Errorf("%w: offset difference %d − %d", intmat.ErrOverflow, a2[k], a1[k])
+		}
+		diff[k] = d
 	}
 	return intmat.InRowLattice(g, diff)
 }
@@ -239,24 +253,25 @@ func Intersecting(g intmat.Mat, a1, a2 []int64) bool {
 // computing the §3.4.1 column reduction. Analyze is the normal entry
 // point; NewClass serves synthetic classes in tools and experiments.
 // The members are assumed pairwise intersecting; no lattice check is
-// performed here.
-func NewClass(array string, g intmat.Mat, members []Ref) Class {
+// performed here. The column reduction's elimination can overflow; that
+// is an error wrapping intmat.ErrOverflow.
+func NewClass(array string, g intmat.Mat, members []Ref) (Class, error) {
 	return newClass(array, g, members)
 }
 
-func newClass(array string, g intmat.Mat, members []Ref) Class {
-	c := Class{Array: array, G: g, Refs: members}
+func newClass(array string, g intmat.Mat, members []Ref) (Class, error) {
 	// §3.4.1: drop zero columns (Example 1), then keep a maximal set of
 	// linearly independent columns (Example 7).
 	nz := g.NonZeroCols()
-	gnz := g.SelectCols(nz)
-	indep := gnz.MaxIndependentCols()
+	indep, err := g.SelectCols(nz).MaxIndependentCols()
+	if err != nil {
+		return Class{}, err
+	}
 	cols := make([]int, len(indep))
 	for k, idx := range indep {
 		cols[k] = nz[idx]
 	}
-	c.Reduced = Reduction{Cols: cols, G: g.SelectCols(cols)}
-	return c
+	return Class{Array: array, G: g, Refs: members, Reduced: Reduction{Cols: cols, G: g.SelectCols(cols)}}, nil
 }
 
 // UniformlyGenerated implements Definition 5 for two extracted references.
@@ -265,8 +280,11 @@ func UniformlyGenerated(r1, r2 Ref) bool {
 }
 
 // UniformlyIntersecting implements Definition 6.
-func UniformlyIntersecting(r1, r2 Ref) bool {
-	return UniformlyGenerated(r1, r2) && Intersecting(r1.G, r1.A, r2.A)
+func UniformlyIntersecting(r1, r2 Ref) (bool, error) {
+	if !UniformlyGenerated(r1, r2) {
+		return false, nil
+	}
+	return Intersecting(r1.G, r1.A, r2.A)
 }
 
 func vecKey(v []int64) string {

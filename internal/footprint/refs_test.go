@@ -81,8 +81,8 @@ func TestAnalyzeExample10Classes(t *testing.T) {
 		t.Fatalf("classes = %d: %v", len(a.Classes), a.Classes)
 	}
 	b := classOf(t, a, "B", 2)
-	if b.G.Det() != -2 {
-		t.Fatalf("det G = %d", b.G.Det())
+	if det(t, b.G) != -2 {
+		t.Fatalf("det G = %d", det(t, b.G))
 	}
 	s := b.Spread()
 	if s[0] != 4 || s[1] != 2 {
@@ -105,19 +105,19 @@ func TestAnalyzeExample10Classes(t *testing.T) {
 func TestIntersectingDefinition4(t *testing.T) {
 	// A[2i] vs A[2i+1]: uniformly generated, not intersecting.
 	g := intmat.FromRows([][]int64{{2}})
-	if Intersecting(g, []int64{0}, []int64{1}) {
+	if intersecting(t, g, []int64{0}, []int64{1}) {
 		t.Error("A[2i] and A[2i+1] must not intersect")
 	}
-	if !Intersecting(g, []int64{0}, []int64{6}) {
+	if !intersecting(t, g, []int64{0}, []int64{6}) {
 		t.Error("A[2i] and A[2i+6] must intersect")
 	}
 	// Example 10 class C: offset diff (1,2,2) not on the lattice of
 	// G = [[1,2,1],[0,0,2]] (needs u2 = 1/2).
 	gc := intmat.FromRows([][]int64{{1, 2, 1}, {0, 0, 2}})
-	if Intersecting(gc, []int64{0, 0, -1}, []int64{1, 2, 1}) {
+	if intersecting(t, gc, []int64{0, 0, -1}, []int64{1, 2, 1}) {
 		t.Error("C(i+1,2i+2,i+2j+1) must not intersect C(i,2i,i+2j-1)")
 	}
-	if !Intersecting(gc, []int64{0, 0, -1}, []int64{0, 0, 1}) {
+	if !intersecting(t, gc, []int64{0, 0, -1}, []int64{0, 0, 1}) {
 		t.Error("C(i,2i,i+2j+1) must intersect C(i,2i,i+2j-1)")
 	}
 }
@@ -133,7 +133,7 @@ func TestUniformlyIntersectingAppendixB(t *testing.T) {
 	}
 	for i := range refs {
 		for j := range refs {
-			if !UniformlyIntersecting(refs[i], refs[j]) {
+			if !uniformlyIntersecting(t, refs[i], refs[j]) {
 				t.Errorf("refs %d and %d should be uniformly intersecting", i, j)
 			}
 		}
@@ -142,7 +142,7 @@ func TestUniformlyIntersectingAppendixB(t *testing.T) {
 	g2i := intmat.FromRows([][]int64{{2, 0}, {0, 1}})
 	r1 := Ref{Array: "A", G: gI, A: []int64{0, 0}}
 	r2 := Ref{Array: "A", G: g2i, A: []int64{0, 0}}
-	if UniformlyIntersecting(r1, r2) {
+	if uniformlyIntersecting(t, r1, r2) {
 		t.Error("A[i,j] and A[2i,j] are not uniformly generated")
 	}
 	// Different arrays.
@@ -232,7 +232,7 @@ func TestCumulativeSpread(t *testing.T) {
 	// Offsets 0, 1, 5 in one dimension: median 1, a⁺ = |0−1|+|1−1|+|5−1| = 5.
 	// Spread â = 5 − 0 = 5 (equal here); with offsets 0, 1, 2: â = 2, a⁺ = 2.
 	gI := intmat.Identity(1)
-	c := newClass("A", gI, []Ref{
+	c := mustClass(t, "A", gI, []Ref{
 		{Array: "A", G: gI, A: []int64{0}},
 		{Array: "A", G: gI, A: []int64{1}},
 		{Array: "A", G: gI, A: []int64{5}},
@@ -240,7 +240,7 @@ func TestCumulativeSpread(t *testing.T) {
 	if got := c.CumulativeSpread()[0]; got != 5 {
 		t.Errorf("a+ = %d, want 5", got)
 	}
-	c2 := newClass("A", gI, []Ref{
+	c2 := mustClass(t, "A", gI, []Ref{
 		{Array: "A", G: gI, A: []int64{0}},
 		{Array: "A", G: gI, A: []int64{1}},
 		{Array: "A", G: gI, A: []int64{2}},
@@ -249,7 +249,7 @@ func TestCumulativeSpread(t *testing.T) {
 		t.Errorf("a+ = %d, want 2", got)
 	}
 	// Four refs: 0,1,2,7 → median (index 2) = 2, a⁺ = 2+1+0+5 = 8 > â = 7.
-	c3 := newClass("A", gI, []Ref{
+	c3 := mustClass(t, "A", gI, []Ref{
 		{Array: "A", G: gI, A: []int64{0}},
 		{Array: "A", G: gI, A: []int64{1}},
 		{Array: "A", G: gI, A: []int64{2}},

@@ -64,53 +64,47 @@ func (e Exactness) String() string {
 }
 
 // SpreadCoeffs solves â' = u·G' for the lattice coordinates of the class
-// spread in terms of the reduced reference matrix rows (Theorem 4). The
-// returned coefficients are absolute values. ok reports whether G' is
-// square and nonsingular; integral reports whether the solution is
-// integral (when it is, Theorem 4's count is exact).
-func (c Class) SpreadCoeffs() (u []float64, integral bool, ok bool) {
+// spread in terms of the reduced reference matrix rows (Theorem 4), by
+// Cramer's rule over the overflow-checked determinant. The returned
+// coefficients are absolute values. ok reports whether G' is square and
+// nonsingular; integral reports whether the solution is integral (when it
+// is, Theorem 4's count is exact). A determinant beyond int64 is an error
+// wrapping intmat.ErrOverflow.
+func (c Class) SpreadCoeffs() (u []float64, integral, ok bool, err error) {
 	return c.spreadCoeffs(c.Spread())
 }
 
 // CumulativeSpreadCoeffs is SpreadCoeffs with the data-partitioning spread
 // a⁺ in place of â (footnote 2).
-func (c Class) CumulativeSpreadCoeffs() (u []float64, integral bool, ok bool) {
+func (c Class) CumulativeSpreadCoeffs() (u []float64, integral, ok bool, err error) {
 	return c.spreadCoeffs(c.CumulativeSpread())
 }
 
 // solveLeftFloat solves target = u·g over the rationals and returns the
-// coefficient magnitudes as floats.
-func solveLeftFloat(g intmat.Mat, target []int64) ([]float64, bool) {
-	sol, ok := intmat.SolveLeftInt(g, target)
-	if !ok {
-		return nil, false
+// coefficient magnitudes as floats, and whether every coefficient is an
+// integer. ok is false when g is singular.
+func solveLeftFloat(g intmat.Mat, target []int64) (u []float64, integral, ok bool, err error) {
+	num, den, err := intmat.SolveLeft(g, target)
+	if err != nil || den == 0 {
+		return nil, false, false, err
 	}
-	out := make([]float64, len(sol))
-	for i, s := range sol {
-		out[i] = math.Abs(s.Float())
-	}
-	return out, true
-}
-
-func (c Class) spreadCoeffs(spread []int64) ([]float64, bool, bool) {
-	gr := c.Reduced.G
-	if gr.Rows() != gr.Cols() || !gr.IsNonsingular() {
-		return nil, false, false
-	}
-	target := c.Reduced.Project(spread)
-	sol, solOK := intmat.SolveLeftInt(gr, target)
-	if !solOK {
-		return nil, false, false
-	}
-	u := make([]float64, len(sol))
-	integral := true
-	for i, s := range sol {
-		if !s.IsInt() {
+	u = make([]float64, len(num))
+	integral = true
+	for i, n := range num {
+		if n%den != 0 {
 			integral = false
 		}
-		u[i] = math.Abs(s.Float())
+		u[i] = math.Abs(float64(n) / float64(den))
 	}
-	return u, integral, true
+	return u, integral, true, nil
+}
+
+func (c Class) spreadCoeffs(spread []int64) ([]float64, bool, bool, error) {
+	gr := c.Reduced.G
+	if gr.Rows() != gr.Cols() {
+		return nil, false, false, nil
+	}
+	return solveLeftFloat(gr, c.Reduced.Project(spread))
 }
 
 // PairCoeffs solves (a₂ − a₁)' = u·G' for a two-reference class: the
@@ -118,9 +112,9 @@ func (c Class) spreadCoeffs(spread []int64) ([]float64, bool, bool) {
 // footprints (Proposition 1). Unlike the spread â — which takes
 // per-component max−min and so loses relative signs — this is the exact
 // translation vector, and Lemma 3 counts the union exactly from it.
-func (c Class) PairCoeffs() (u []float64, integral bool, ok bool) {
+func (c Class) PairCoeffs() (u []float64, integral, ok bool, err error) {
 	if len(c.Refs) != 2 {
-		return nil, false, false
+		return nil, false, false, nil
 	}
 	diff := make([]int64, len(c.Refs[0].A))
 	for k := range diff {
@@ -141,6 +135,10 @@ func (c Class) PairCoeffs() (u []float64, integral bool, ok bool) {
 //   - otherwise, with square nonsingular G': the linearized Theorem 4
 //     form (see RectFootprintLinearized), the paper's ≈;
 //   - otherwise exact enumeration.
+//
+// A translation or spread decomposition whose determinants exceed int64
+// scores +Inf, Approximate: the model cannot rank the tile, and every
+// scorer in this package reports an unrepresentable footprint that way.
 func (c Class) RectFootprint(ext []int64) (float64, Exactness) {
 	l := c.G.Rows()
 	if len(ext) != l {
@@ -159,7 +157,11 @@ func (c Class) RectFootprint(ext []int64) (float64, Exactness) {
 		return base, Exact
 	}
 	if len(c.Refs) == 2 {
-		if u, integral, ok := c.PairCoeffs(); ok && integral {
+		u, integral, ok, err := c.PairCoeffs()
+		if err != nil {
+			return math.Inf(1), Approximate
+		}
+		if ok && integral {
 			bounds := make([]int64, len(ext))
 			ui := make([]int64, len(u))
 			for k := range ext {
@@ -182,7 +184,10 @@ func (c Class) RectFootprint(ext []int64) (float64, Exactness) {
 // approximate: it drops Lemma 3's cross terms and relies on the spread
 // heuristic for classes of three or more references.
 func (c Class) RectFootprintLinearized(ext []int64) (float64, Exactness) {
-	u, _, ok := c.SpreadCoeffs()
+	u, _, ok, err := c.SpreadCoeffs()
+	if err != nil {
+		return math.Inf(1), Approximate
+	}
 	if !ok {
 		return c.rectEnumOrModel(ext)
 	}
@@ -283,14 +288,18 @@ func tileModelFootprint(t tile.Tile, gr intmat.Mat, spread []int64) (float64, Ex
 
 // rectEnumOrModel is the fallback for rectangular tiles with no applicable
 // closed form. Tiles within the enumeration budget stream their points
-// through the exact Definition 3 count; larger tiles use the refs·volume
-// upper bound (each iteration point touches at most len(Refs) elements),
-// reported as Approximate so callers know no exact count backs it.
+// through the exact Definition 3 count; larger tiles, and tiles whose
+// element indices p·G do not fit in int64, use the refs·volume upper bound
+// (each iteration point touches at most len(Refs) elements), reported as
+// Approximate so callers know no exact count backs it.
 func (c Class) rectEnumOrModel(ext []int64) (float64, Exactness) {
-	if v := rectVolume(ext); v > enumBudget.Load() {
-		return float64(len(c.Refs)) * float64(v), Approximate
+	v := rectVolume(ext)
+	if v <= enumBudget.Load() {
+		if n, ok := c.enumerateTile(tile.Rect(ext...)); ok {
+			return float64(n), Enumerated
+		}
 	}
-	return float64(c.enumerateRect(ext)), Enumerated
+	return float64(len(c.Refs)) * float64(v), Approximate
 }
 
 // tileEnumOrModel is the fallback for hyperparallelepiped tiles. The
@@ -298,8 +307,8 @@ func (c Class) rectEnumOrModel(ext []int64) (float64, Exactness) {
 // on the |det L| points enumerateTile visits: the gate decides whether a
 // candidate is scored Enumerated or Approximate, and plans depend on that.
 // Above it the refs·|det L| upper bound stands in, as it does for a tile
-// whose points do not fit in int64, and a tile whose volume is not even
-// representable scores +Inf.
+// whose points or element indices do not fit in int64, and a tile whose
+// volume is not even representable scores +Inf.
 func (c Class) tileEnumOrModel(t tile.Tile) (float64, Exactness) {
 	box := int64(1)
 	d := t.Dim()
@@ -336,29 +345,24 @@ func rectVolume(ext []int64) int64 {
 	return v
 }
 
-// enumerateRect computes the exact cumulative footprint of the rectangular
-// origin tile with the given extents, streaming the points.
-func (c Class) enumerateRect(ext []int64) int64 {
-	n, _ := c.enumerateTile(tile.Rect(ext...)) // a rectangle's points always fit
-	return n
-}
-
 // enumerateRectSingle computes the exact footprint of the first reference
-// alone.
+// alone. It runs only after the whole class enumerated, whose element
+// indices include this reference's, so it cannot overflow.
 func (c Class) enumerateRectSingle(ext []int64) int64 {
 	single := Class{Array: c.Array, G: c.G, Refs: c.Refs[:1], Reduced: c.Reduced}
-	return single.enumerateRect(ext)
+	n, _ := single.enumerateTile(tile.Rect(ext...))
+	return n
 }
 
 // enumerateTile computes the exact cumulative footprint of the tile at the
 // origin, streaming its |det L| points. ok is false when the walk cannot
-// represent the tile's lattice or points in int64.
+// represent the tile's lattice, points or element indices in int64.
 func (c Class) enumerateTile(t tile.Tile) (n int64, ok bool) {
-	var err error
-	n = ExactClassFootprintFunc(c, func(yield func(p []int64) bool) {
-		err = t.ForEachPoint(yield)
+	var walkErr error
+	n, err := ExactClassFootprintFunc(c, func(yield func(p []int64) bool) {
+		walkErr = t.ForEachPoint(yield)
 	})
-	return n, err == nil
+	return n, err == nil && walkErr == nil
 }
 
 // SingleFootprintVolume returns |det LG'| for one reference (Equation 2) —

@@ -5,24 +5,14 @@ package intmat
 // intersection, Theorem 3) are only trustworthy if the integer machinery
 // under them is: HNF/SNF row operations and Bareiss determinant
 // intermediates are exactly the kind of values that silently blow past
-// int64. Everything here reports overflow explicitly — as an (value, ok)
-// pair, a typed error, or a saturating sentinel — instead of wrapping, so
-// a partition search can never rank tiles by a wrapped determinant.
+// int64. Every operation reports overflow instead of wrapping or panicking:
 //
-// Three tiers, by caller need:
-//
-//   - CheckedAdd / CheckedMul: math/bits-based primitives returning ok.
-//   - SatAdd / SatMul: clamp to ±MaxInt64, preserving sign and order —
-//     for cost models where "too big to represent" must still compare as
-//     worse than every representable candidate.
-//   - DetChecked / HNFChecked / SNFChecked / MulChecked / MulVecChecked:
-//     error-returning forms of the package's algorithms. DetChecked
-//     additionally falls back to exact big.Int elimination, so it only
-//     fails when the determinant itself exceeds int64 (DetBig never
-//     fails).
-//
-// The legacy panicking entry points (Det, HNF, SNF, Mul, MulVec) are thin
-// wrappers over the checked forms and keep their historical behavior.
+//   - CheckedAdd / CheckedMul / CheckedNeg: primitives returning ok.
+//   - SatAdd / SatMul: clamp to ±MaxInt64, preserving sign and order.
+//   - Every algorithm (DetChecked, HNFChecked, SNFChecked, SolveLeft,
+//     MulChecked, Rank, …): an error wrapping ErrOverflow. DetChecked
+//     falls back to exact big.Int elimination, so it fails only when the
+//     determinant itself exceeds int64 (DetBig never fails).
 
 import (
 	"errors"
@@ -122,57 +112,30 @@ func absU64(a int64) uint64 {
 	return u
 }
 
-// MulChecked returns m·n, reporting overflow instead of panicking.
-// Shape mismatches still return a typed error, not a panic.
+// MulChecked returns m·n, reporting overflow. Shape mismatches return a
+// typed error too.
 func (m Mat) MulChecked(n Mat) (Mat, error) {
 	if m.cols != n.rows {
 		return Mat{}, fmt.Errorf("intmat: Mul shape mismatch %dx%d · %dx%d", m.rows, m.cols, n.rows, n.cols)
 	}
 	p := NewMat(m.rows, n.cols)
 	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			mik := m.At(i, k)
-			if mik == 0 {
-				continue
-			}
-			for j := 0; j < n.cols; j++ {
-				prod, ok := CheckedMul(mik, n.At(k, j))
-				if !ok {
-					return Mat{}, fmt.Errorf("%w: product entry (%d,%d)", ErrOverflow, i, j)
-				}
-				sum, ok := CheckedAdd(p.At(i, j), prod)
-				if !ok {
-					return Mat{}, fmt.Errorf("%w: product entry (%d,%d)", ErrOverflow, i, j)
-				}
-				p.Set(i, j, sum)
-			}
+		if err := n.MulVecInto(m.a[i*m.cols:(i+1)*m.cols], p.a[i*p.cols:(i+1)*p.cols]); err != nil {
+			return Mat{}, fmt.Errorf("%w (product row %d)", err, i)
 		}
 	}
 	return p, nil
 }
 
-// MulVecChecked returns the row-vector product v·m, reporting overflow
-// instead of panicking.
+// MulVecChecked returns the row-vector product v·m (paper convention:
+// iterations are row vectors multiplied on the left), reporting overflow.
 func (m Mat) MulVecChecked(v []int64) ([]int64, error) {
 	if len(v) != m.rows {
 		return nil, fmt.Errorf("intmat: MulVec length mismatch: %d coefficients for %d rows", len(v), m.rows)
 	}
 	out := make([]int64, m.cols)
-	for i, vi := range v {
-		if vi == 0 {
-			continue
-		}
-		for j := 0; j < m.cols; j++ {
-			prod, ok := CheckedMul(vi, m.At(i, j))
-			if !ok {
-				return nil, fmt.Errorf("%w: v·m component %d", ErrOverflow, j)
-			}
-			sum, ok := CheckedAdd(out[j], prod)
-			if !ok {
-				return nil, fmt.Errorf("%w: v·m component %d", ErrOverflow, j)
-			}
-			out[j] = sum
-		}
+	if err := m.MulVecInto(v, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -195,6 +158,27 @@ func (m Mat) DetChecked() (int64, error) {
 		return d.Int64(), nil
 	}
 	return 0, fmt.Errorf("%w: determinant %s exceeds int64", ErrOverflow, d.String())
+}
+
+// SolveLeft solves the row-vector system x·m = b for square nonsingular
+// m by Cramer's rule: xᵢ = det(m with row i replaced by b) / det m. It
+// returns the numerators and the common denominator det m, so xᵢ is
+// integral exactly when den divides num[i]. A singular m returns den 0
+// and no numerators; a determinant beyond int64 returns ErrOverflow.
+func SolveLeft(m Mat, b []int64) (num []int64, den int64, err error) {
+	if len(b) != m.cols {
+		return nil, 0, fmt.Errorf("intmat: SolveLeft length mismatch: %d components for %d columns", len(b), m.cols)
+	}
+	if den, err = m.DetChecked(); err != nil || den == 0 {
+		return nil, 0, err
+	}
+	num = make([]int64, m.rows)
+	for i := range num {
+		if num[i], err = m.WithRow(i, b).DetChecked(); err != nil {
+			return nil, 0, err
+		}
+	}
+	return num, den, nil
 }
 
 // detBareiss is fraction-free elimination with checked intermediates;

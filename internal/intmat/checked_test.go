@@ -4,7 +4,11 @@ import (
 	"errors"
 	"math"
 	"math/big"
+	"math/rand"
+	"slices"
 	"testing"
+
+	"looppart/internal/rational"
 )
 
 func TestCheckedAdd(t *testing.T) {
@@ -159,8 +163,8 @@ func TestMulCheckedOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MulChecked: %v", err)
 	}
-	if !p.Equal(a.Mul(b)) {
-		t.Errorf("MulChecked disagrees with Mul: %v vs %v", p, a.Mul(b))
+	if want := FromRows([][]int64{{19, 22}, {43, 50}}); !p.Equal(want) {
+		t.Errorf("MulChecked = %v, want %v", p, want)
 	}
 }
 
@@ -208,5 +212,122 @@ func TestSNFCheckedSmall(t *testing.T) {
 		if r.Invariants[i] != v {
 			t.Fatalf("invariants = %v, want %v", r.Invariants, want)
 		}
+	}
+}
+
+func TestSolveLeft(t *testing.T) {
+	// x·[[2,1],[1,3]] = (5,10): x = (1,3), since (1·2+3·1, 1·1+3·3) = (5,10).
+	m := FromRows([][]int64{{2, 1}, {1, 3}})
+	num, den, err := SolveLeft(m, []int64{5, 10})
+	if err != nil || den != 5 || num[0] != 5 || num[1] != 15 {
+		t.Fatalf("SolveLeft = %v/%d, %v; want [5 15]/5", num, den, err)
+	}
+	// Singular: no solution, no error.
+	if num, den, err := SolveLeft(FromRows([][]int64{{1, 2}, {2, 4}}), []int64{1, 2}); err != nil || den != 0 || num != nil {
+		t.Errorf("singular SolveLeft = %v/%d, %v", num, den, err)
+	}
+	// A determinant beyond int64 is an overflow, not a wrong answer.
+	huge := Diag(math.MaxInt64, math.MaxInt64)
+	if _, _, err := SolveLeft(huge, []int64{1, 1}); !errors.Is(err, ErrOverflow) {
+		t.Errorf("SolveLeft of huge diagonal: want ErrOverflow, got %v", err)
+	}
+	if _, _, err := SolveLeft(m, []int64{1}); err == nil {
+		t.Error("SolveLeft accepted a short right-hand side")
+	}
+}
+
+// TestSolveLeftIntRandom checks Cramer's rule against the rational
+// inverse: x = b·m⁻¹, integral exactly when den divides every numerator.
+func TestSolveLeftIntRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(3)
+		m := randMat(rng, n, n, 5)
+		b := make([]int64, n)
+		for i := range b {
+			b[i] = int64(rng.Intn(19) - 9)
+		}
+		if trial%2 == 0 {
+			// Half the trials take b = x·m for integral x.
+			x := make([]int64, n)
+			for i := range x {
+				x[i] = int64(rng.Intn(9) - 4)
+			}
+			b = mulVec(t, m, x)
+		}
+		num, den, err := SolveLeft(m, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv, ok := m.ToRat().Inverse()
+		if ok != (den != 0) {
+			t.Fatalf("SolveLeft den %d, rational inverse ok=%v for %v", den, ok, m)
+		}
+		if !ok {
+			continue
+		}
+		for j := 0; j < n; j++ {
+			want := rational.Zero
+			for k := 0; k < n; k++ {
+				want = want.Add(rational.FromInt(b[k]).Mul(inv.At(k, j)))
+			}
+			if got := rational.New(num[j], den); !got.Equal(want) {
+				t.Fatalf("x[%d] = %v, want %v (m=%v b=%v)", j, got, want, m, b)
+			}
+		}
+	}
+}
+
+func TestRankEdgeCases(t *testing.T) {
+	if got := rank(t, NewMat(0, 0)); got != 0 {
+		t.Errorf("rank of empty = %d", got)
+	}
+	if got := rank(t, NewMat(3, 2)); got != 0 {
+		t.Errorf("rank of zero 3x2 = %d", got)
+	}
+}
+
+// TestMaxIndependentColsMatchesGreedyScan checks the HNF pivot columns
+// against the definition they replace: scan the columns left to right and
+// keep each one that raises the rank.
+func TestMaxIndependentColsMatchesGreedyScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 2000; trial++ {
+		r, c := 1+rng.Intn(4), 1+rng.Intn(5)
+		m := randMat(rng, r, c, 4)
+		if c > 1 && trial%2 == 0 {
+			// Force a dependent column: a combination of two others.
+			j, k, d := rng.Intn(c), rng.Intn(c), rng.Intn(c)
+			for i := 0; i < r; i++ {
+				m.Set(i, d, 2*m.At(i, j)-m.At(i, k))
+			}
+		}
+		var greedy []int
+		for j := 0; j < c; j++ {
+			if rank(t, m.SelectCols(append(append([]int{}, greedy...), j))) > len(greedy) {
+				greedy = append(greedy, j)
+			}
+		}
+		got, err := m.MaxIndependentCols()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, greedy) {
+			t.Fatalf("trial %d: MaxIndependentCols = %v, greedy scan %v for %v", trial, got, greedy, m)
+		}
+		if rank(t, m) != len(got) {
+			t.Fatalf("trial %d: rank %d, %d independent columns for %v", trial, rank(t, m), len(got), m)
+		}
+	}
+}
+
+func TestMulVecIntoOverflow(t *testing.T) {
+	out := make([]int64, 1)
+	if err := Diag(math.MaxInt64).MulVecInto([]int64{2}, out); !errors.Is(err, ErrOverflow) {
+		t.Errorf("MulVecInto: want ErrOverflow, got %v", err)
+	}
+	out = make([]int64, 2)
+	if err := FromRows([][]int64{{1, 2}, {3, 4}}).MulVecInto([]int64{5, 6}, out); err != nil || out[0] != 23 || out[1] != 34 {
+		t.Errorf("MulVecInto = %v, %v; want [23 34]", out, err)
 	}
 }

@@ -19,12 +19,11 @@ import (
 // pivots and entries below each pivot zero, entries above each pivot
 // reduced into [0, pivot).
 //
-// Every algorithm comes in two forms: a *Checked variant whose row
-// operations detect int64 overflow and return ErrOverflow, and the legacy
-// panicking form wrapping it. The Euclid-style reductions keep entries
-// near the input magnitudes, but adversarial inputs (fuzzed matrices,
-// large-entry tiles) can genuinely wrap — those must surface as errors,
-// not as a wrong lattice basis.
+// Every row and column operation detects int64 overflow and returns
+// ErrOverflow. The Euclid-style reductions keep entries near the input
+// magnitudes, but adversarial inputs (fuzzed matrices, large-entry
+// subscripts) can genuinely wrap — those surface as errors, never as a
+// wrong lattice basis and never as a panic.
 
 // HNFResult carries the row Hermite normal form H = U·A.
 type HNFResult struct {
@@ -33,16 +32,6 @@ type HNFResult struct {
 	// PivotCols[k] is the column of the k-th pivot; len(PivotCols) == Rank.
 	PivotCols []int
 	Rank      int
-}
-
-// HNF computes the row Hermite normal form of m. It panics on int64
-// overflow; HNFChecked reports it as an error instead.
-func HNF(m Mat) HNFResult {
-	r, err := HNFChecked(m)
-	if err != nil {
-		panic(err.Error())
-	}
-	return r
 }
 
 // HNFChecked computes the row Hermite normal form of m with every row
@@ -76,13 +65,13 @@ func HNFChecked(m Mat) (HNFResult, error) {
 					continue
 				}
 				q := b / a
-				if err := addRowMultipleChecked(h, u, i, row, -q); err != nil {
+				if err := addRowMultiple(h, u, i, row, -q); err != nil {
 					return HNFResult{}, err
 				}
 			}
 		}
 		if h.At(row, col) < 0 {
-			if err := negateRowChecked(h, u, row); err != nil {
+			if err := negateRow(h, u, row); err != nil {
 				return HNFResult{}, err
 			}
 		}
@@ -92,7 +81,7 @@ func HNFChecked(m Mat) (HNFResult, error) {
 			v := h.At(i, col)
 			q := floorDiv(v, piv)
 			if q != 0 {
-				if err := addRowMultipleChecked(h, u, i, row, -q); err != nil {
+				if err := addRowMultiple(h, u, i, row, -q); err != nil {
 					return HNFResult{}, err
 				}
 			}
@@ -103,54 +92,33 @@ func HNFChecked(m Mat) (HNFResult, error) {
 	return HNFResult{H: h, U: u, PivotCols: pivots, Rank: row}, nil
 }
 
-// addRowMultipleChecked adds k times row src to row dst in both h and u,
-// reporting overflow. The pair updates together so a failed operation
-// cannot leave H and U out of sync with H = U·A.
-func addRowMultipleChecked(h, u Mat, dst, src int, k int64) error {
-	if k == 0 {
-		return nil
-	}
-	if err := h.addRowMultiple(dst, src, k); err != nil {
-		return err
-	}
-	return u.addRowMultiple(dst, src, k)
-}
-
-// addRowMultiple adds k times row src to row dst, reporting overflow.
-func (m Mat) addRowMultiple(dst, src int, k int64) error {
-	if k == 0 {
-		return nil
-	}
-	for c := 0; c < m.cols; c++ {
-		prod, ok := CheckedMul(k, m.At(src, c))
-		if !ok {
-			return fmt.Errorf("%w: row operation %d += %d·row %d", ErrOverflow, dst, k, src)
+// addRowMultiple adds k times row src to row dst of both h and u — the
+// eliminations keep H = U·A this way — reporting overflow.
+func addRowMultiple(h, u Mat, dst, src int, k int64) error {
+	for _, m := range [2]Mat{h, u} {
+		for c := 0; c < m.cols; c++ {
+			prod, okMul := CheckedMul(k, m.At(src, c))
+			sum, okAdd := CheckedAdd(m.At(dst, c), prod)
+			if !okMul || !okAdd {
+				return fmt.Errorf("%w: row operation %d += %d·row %d", ErrOverflow, dst, k, src)
+			}
+			m.Set(dst, c, sum)
 		}
-		sum, ok := CheckedAdd(m.At(dst, c), prod)
-		if !ok {
-			return fmt.Errorf("%w: row operation %d += %d·row %d", ErrOverflow, dst, k, src)
-		}
-		m.Set(dst, c, sum)
 	}
 	return nil
 }
 
-// negateRowChecked negates row i of both h and u; the only unrepresentable
+// negateRow negates row i of both h and u; the only unrepresentable
 // negation is of MinInt64.
-func negateRowChecked(h, u Mat, i int) error {
-	if err := h.negateRow(i); err != nil {
-		return err
-	}
-	return u.negateRow(i)
-}
-
-func (m Mat) negateRow(i int) error {
-	for c := 0; c < m.cols; c++ {
-		v, ok := CheckedNeg(m.At(i, c))
-		if !ok {
-			return fmt.Errorf("%w: negating row %d", ErrOverflow, i)
+func negateRow(h, u Mat, i int) error {
+	for _, m := range [2]Mat{h, u} {
+		for c := 0; c < m.cols; c++ {
+			v, ok := CheckedNeg(m.At(i, c))
+			if !ok {
+				return fmt.Errorf("%w: negating row %d", ErrOverflow, i)
+			}
+			m.Set(i, c, v)
 		}
-		m.Set(i, c, v)
 	}
 	return nil
 }
@@ -171,21 +139,11 @@ func floorDiv(a, b int64) int64 {
 	return q
 }
 
-// SolveIntLeft solves u·A = t for an integer row vector u, where the rows
-// of A generate a lattice (Theorem 3's membership test). It returns the
-// coordinate vector u and true if t is in the row lattice of A; otherwise
-// ok is false. When the rows of A are linearly dependent the returned u is
-// one valid solution. It panics on int64 overflow; SolveIntLeftChecked
-// reports it as an error.
-func SolveIntLeft(a Mat, t []int64) (u []int64, ok bool) {
-	u, ok, err := SolveIntLeftChecked(a, t)
-	if err != nil {
-		panic(err.Error())
-	}
-	return u, ok
-}
-
-// SolveIntLeftChecked is SolveIntLeft with overflow surfaced as an error.
+// SolveIntLeftChecked solves u·A = t for an integer row vector u, where
+// the rows of A generate a lattice (Theorem 3's membership test). It
+// returns the coordinate vector u and true if t is in the row lattice of
+// A; otherwise ok is false. When the rows of A are linearly dependent the
+// returned u is one valid solution.
 func SolveIntLeftChecked(a Mat, t []int64) (u []int64, ok bool, err error) {
 	if len(t) != a.cols {
 		return nil, false, fmt.Errorf("intmat: SolveIntLeft length mismatch: %d components for %d columns", len(t), a.cols)
@@ -225,16 +183,13 @@ func SolveIntLeftChecked(a Mat, t []int64) (u []int64, ok bool, err error) {
 		}
 	}
 	u, err = hr.U.MulVecChecked(y) // u = y·U
-	if err != nil {
-		return nil, false, err
-	}
-	return u, true, nil
+	return u, err == nil, err
 }
 
 // InRowLattice reports whether t is an integer combination of the rows of a.
-func InRowLattice(a Mat, t []int64) bool {
-	_, ok := SolveIntLeft(a, t)
-	return ok
+func InRowLattice(a Mat, t []int64) (bool, error) {
+	_, ok, err := SolveIntLeftChecked(a, t)
+	return ok, err
 }
 
 // SNFResult carries the Smith normal form S = U·A·V with U, V unimodular
@@ -247,21 +202,11 @@ type SNFResult struct {
 	Invariants []int64
 }
 
-// SNF computes the Smith normal form of m. The product of the invariant
-// factors is the index of the row lattice in Z^d (for full-rank square m,
-// |det m|); the map i ↦ i·G is onto Z^d exactly when all invariant factors
-// are 1 (the paper's Lemma 2). It panics on int64 overflow; SNFChecked
-// reports it as an error instead.
-func SNF(m Mat) SNFResult {
-	r, err := SNFChecked(m)
-	if err != nil {
-		panic(err.Error())
-	}
-	return r
-}
-
 // SNFChecked computes the Smith normal form of m with every row and
-// column operation overflow-checked.
+// column operation overflow-checked. The product of the invariant factors
+// is the index of the row lattice in Z^d (for full-rank square m,
+// |det m|); the map i ↦ i·G is onto Z^d exactly when all invariant
+// factors are 1 (the paper's Lemma 2).
 func SNFChecked(m Mat) (SNFResult, error) {
 	s := m.Clone()
 	u := Identity(m.rows)
@@ -277,7 +222,7 @@ func SNFChecked(m Mat) (SNFResult, error) {
 			for i := k + 1; i < s.rows; i++ {
 				for s.At(i, k) != 0 {
 					q := s.At(i, k) / s.At(k, k)
-					if err := addRowMultipleChecked(s, u, i, k, -q); err != nil {
+					if err := addRowMultiple(s, u, i, k, -q); err != nil {
 						return SNFResult{}, err
 					}
 					if s.At(i, k) != 0 {
@@ -290,7 +235,7 @@ func SNFChecked(m Mat) (SNFResult, error) {
 			for j := k + 1; j < s.cols; j++ {
 				for s.At(k, j) != 0 {
 					q := s.At(k, j) / s.At(k, k)
-					if err := addColMultipleChecked(s, v, j, k, -q); err != nil {
+					if err := addColMultiple(s, v, j, k, -q); err != nil {
 						return SNFResult{}, err
 					}
 					if s.At(k, j) != 0 {
@@ -309,7 +254,7 @@ func SNFChecked(m Mat) (SNFResult, error) {
 			for j := k + 1; j < s.cols; j++ {
 				if s.At(i, j)%s.At(k, k) != 0 {
 					// Add row i to row k, then re-eliminate.
-					if err := addRowMultipleChecked(s, u, k, i, 1); err != nil {
+					if err := addRowMultiple(s, u, k, i, 1); err != nil {
 						return SNFResult{}, err
 					}
 					k--
@@ -318,7 +263,7 @@ func SNFChecked(m Mat) (SNFResult, error) {
 			}
 		}
 		if s.At(k, k) < 0 {
-			if err := negateRowChecked(s, u, k); err != nil {
+			if err := negateRow(s, u, k); err != nil {
 				return SNFResult{}, err
 			}
 		}
@@ -354,32 +299,18 @@ func snfPivot(s, u, v Mat, k int) bool {
 	return false
 }
 
-// addColMultipleChecked adds k times column src to column dst in both s
-// and v, reporting overflow.
-func addColMultipleChecked(s, v Mat, dst, src int, k int64) error {
-	if k == 0 {
-		return nil
-	}
-	if err := addColMultiple(s, dst, src, k); err != nil {
-		return err
-	}
-	return addColMultiple(v, dst, src, k)
-}
-
-func addColMultiple(m Mat, dst, src int, k int64) error {
-	if k == 0 {
-		return nil
-	}
-	for r := 0; r < m.rows; r++ {
-		prod, ok := CheckedMul(k, m.At(r, src))
-		if !ok {
-			return fmt.Errorf("%w: column operation %d += %d·col %d", ErrOverflow, dst, k, src)
+// addColMultiple adds k times column src to column dst of both s and v,
+// reporting overflow.
+func addColMultiple(s, v Mat, dst, src int, k int64) error {
+	for _, m := range [2]Mat{s, v} {
+		for r := 0; r < m.rows; r++ {
+			prod, okMul := CheckedMul(k, m.At(r, src))
+			sum, okAdd := CheckedAdd(m.At(r, dst), prod)
+			if !okMul || !okAdd {
+				return fmt.Errorf("%w: column operation %d += %d·col %d", ErrOverflow, dst, k, src)
+			}
+			m.Set(r, dst, sum)
 		}
-		sum, ok := CheckedAdd(m.At(r, dst), prod)
-		if !ok {
-			return fmt.Errorf("%w: column operation %d += %d·col %d", ErrOverflow, dst, k, src)
-		}
-		m.Set(r, dst, sum)
 	}
 	return nil
 }
@@ -396,34 +327,44 @@ func swapCols(m Mat, i, j int) {
 // row vectors n with n·m = 0. The basis is obtained from the rows of the
 // HNF transform U beyond the rank (those rows of U map to zero rows of H).
 // Because U is unimodular, these rows are an integral basis.
-func LeftNullspaceInt(m Mat) [][]int64 {
-	hr := HNF(m)
+func LeftNullspaceInt(m Mat) ([][]int64, error) {
+	hr, err := HNFChecked(m)
+	if err != nil {
+		return nil, err
+	}
 	var basis [][]int64
 	for i := hr.Rank; i < m.rows; i++ {
 		basis = append(basis, hr.U.Row(i))
 	}
-	return basis
+	return basis, nil
 }
 
 // RightNullspaceInt returns an integer basis of {x : m·xᵗ = 0} as row
 // vectors, i.e. the left null space of mᵗ.
-func RightNullspaceInt(m Mat) [][]int64 {
+func RightNullspaceInt(m Mat) ([][]int64, error) {
 	return LeftNullspaceInt(m.Transpose())
 }
 
 // IsOnto reports whether the map i ↦ i·m from Z^l to Z^d is onto, per
 // Lemma 2: the columns must be independent and the gcd of the maximal-order
-// subdeterminants must be 1. Equivalently all Smith invariant factors are 1
-// and the rank equals the number of columns.
-func IsOnto(m Mat) bool {
-	if m.Rank() != m.cols {
-		return false
+// subdeterminants must be 1 — equivalently, m has one Smith invariant
+// factor per column and every one is 1.
+func IsOnto(m Mat) (bool, error) {
+	snf, err := SNFChecked(m)
+	if err != nil || len(snf.Invariants) != m.cols {
+		return false, err
 	}
-	return m.GCDOfMinors(m.cols) == 1
+	for _, d := range snf.Invariants {
+		if d != 1 {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // IsOneToOne reports whether the map i ↦ i·m is one-to-one, per Lemma 1:
 // the rows of m must be linearly independent.
-func IsOneToOne(m Mat) bool {
-	return m.Rank() == m.rows
+func IsOneToOne(m Mat) (bool, error) {
+	r, err := m.Rank()
+	return r == m.rows, err
 }

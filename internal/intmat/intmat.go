@@ -11,13 +11,15 @@
 //
 // Matrices follow the paper's row-vector convention: a loop iteration i is a
 // row vector of length l, G is l×d, and i·G is a row vector of length d.
+//
+// Every integer operation has one form, which reports int64 overflow as
+// an error wrapping ErrOverflow (checked.go), never a panic or a wrapped
+// value. Only shape misuse panics, and RatMat's rational entries.
 package intmat
 
 import (
 	"fmt"
 	"strings"
-
-	"looppart/internal/rational"
 )
 
 // Mat is a dense integer matrix with row-major storage.
@@ -121,15 +123,6 @@ func (m Mat) Row(i int) []int64 {
 	return r
 }
 
-// Col returns a copy of column j.
-func (m Mat) Col(j int) []int64 {
-	c := make([]int64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		c[i] = m.At(i, j)
-	}
-	return c
-}
-
 // SetRow overwrites row i with r. It panics on length mismatch.
 func (m Mat) SetRow(i int, r []int64) {
 	if len(r) != m.cols {
@@ -157,39 +150,11 @@ func (m Mat) Transpose() Mat {
 	return t
 }
 
-// Mul returns the matrix product m·n. It panics on shape mismatch.
-func (m Mat) Mul(n Mat) Mat {
-	if m.cols != n.rows {
-		panic(fmt.Sprintf("intmat: Mul shape mismatch %dx%d · %dx%d", m.rows, m.cols, n.rows, n.cols))
-	}
-	p := NewMat(m.rows, n.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			mik := m.At(i, k)
-			if mik == 0 {
-				continue
-			}
-			for j := 0; j < n.cols; j++ {
-				v := rational.CheckedAddInt(p.At(i, j), rational.CheckedMulInt(mik, n.At(k, j)))
-				p.Set(i, j, v)
-			}
-		}
-	}
-	return p
-}
-
-// MulVec returns the row-vector product v·m (paper convention: iterations
-// are row vectors multiplied on the left). It panics if len(v) != m.Rows().
-func (m Mat) MulVec(v []int64) []int64 {
-	if len(v) != m.rows {
-		panic("intmat: MulVec length mismatch")
-	}
-	return m.MulVecInto(v, make([]int64, m.cols))
-}
-
-// MulVecInto is MulVec writing into out (len = Cols) and returning it, for
-// callers that stream many points through one buffer.
-func (m Mat) MulVecInto(v, out []int64) []int64 {
+// MulVecInto writes the row-vector product v·m (paper convention:
+// iterations are row vectors multiplied on the left) into out (len =
+// Cols), for callers that stream many points through one buffer. It
+// reports overflow; out is then partly written.
+func (m Mat) MulVecInto(v, out []int64) error {
 	if len(v) != m.rows || len(out) != m.cols {
 		panic("intmat: MulVecInto length mismatch")
 	}
@@ -200,31 +165,16 @@ func (m Mat) MulVecInto(v, out []int64) []int64 {
 		}
 		row := m.a[i*m.cols : (i+1)*m.cols]
 		for j, mij := range row {
-			out[j] = rational.CheckedAddInt(out[j], rational.CheckedMulInt(vi, mij))
+			prod, ok := CheckedMul(vi, mij)
+			if !ok {
+				return fmt.Errorf("%w: v·m component %d", ErrOverflow, j)
+			}
+			if out[j], ok = CheckedAdd(out[j], prod); !ok {
+				return fmt.Errorf("%w: v·m component %d", ErrOverflow, j)
+			}
 		}
 	}
-	return out
-}
-
-// Add returns m + n elementwise.
-func (m Mat) Add(n Mat) Mat {
-	if m.rows != n.rows || m.cols != n.cols {
-		panic("intmat: Add shape mismatch")
-	}
-	s := m.Clone()
-	for i := range s.a {
-		s.a[i] = rational.CheckedAddInt(s.a[i], n.a[i])
-	}
-	return s
-}
-
-// Scale returns k·m.
-func (m Mat) Scale(k int64) Mat {
-	s := m.Clone()
-	for i := range s.a {
-		s.a[i] = rational.CheckedMulInt(s.a[i], k)
-	}
-	return s
+	return nil
 }
 
 // SubMatrix returns the matrix formed by the given row and column indices,
@@ -293,22 +243,6 @@ func (m Mat) String() string {
 	return b.String()
 }
 
-// Det returns the determinant of a square matrix, computed exactly by the
-// Bareiss fraction-free elimination algorithm (with a transparent big.Int
-// fallback when an int64 intermediate would wrap — see DetChecked). It
-// panics if m is not square or if the determinant value itself exceeds
-// int64; callers that must not panic use DetChecked or DetBig.
-func (m Mat) Det() int64 {
-	if !m.IsSquare() {
-		panic("intmat: Det of non-square matrix")
-	}
-	d, err := m.DetChecked()
-	if err != nil {
-		panic(err.Error())
-	}
-	return d
-}
-
 func (m Mat) swapRows(i, j int) {
 	for c := 0; c < m.cols; c++ {
 		vi, vj := m.At(i, c), m.At(j, c)
@@ -317,10 +251,11 @@ func (m Mat) swapRows(i, j int) {
 	}
 }
 
-// Rank returns the rank of m over the rationals.
-func (m Mat) Rank() int {
-	r := m.ToRat()
-	return r.gaussRank()
+// Rank returns the rank of m over the rationals: the rank of its Hermite
+// normal form.
+func (m Mat) Rank() (int, error) {
+	h, err := HNFChecked(m)
+	return h.Rank, err
 }
 
 // IsUnimodular reports whether m is square with determinant ±1 (Theorem 1's
@@ -346,70 +281,12 @@ func (m Mat) IsNonsingular() bool {
 }
 
 // MaxIndependentCols returns indices of a maximal set of linearly
-// independent columns of m, scanning left to right (greedy). This implements
-// the §3.4.1 reduction: when the columns of G are dependent, footprint
-// analysis proceeds on the submatrix G' of independent columns (Example 7).
-func (m Mat) MaxIndependentCols() []int {
-	var chosen []int
-	r := NewRatMat(m.rows, 0)
-	for j := 0; j < m.cols; j++ {
-		cand := r.appendCol(m.Col(j))
-		if cand.gaussRank() > len(chosen) {
-			chosen = append(chosen, j)
-			r = cand
-		}
-	}
-	return chosen
-}
-
-// GCDOfMinors returns the gcd of all k×k subdeterminants of m.
-// Used with the Hermite normal form theorem (Lemma 2): the map i ↦ i·G is
-// onto Z^d iff the columns are independent and the gcd of the d×d minors
-// is 1. k must be between 1 and min(rows, cols).
-func (m Mat) GCDOfMinors(k int) int64 {
-	if k < 1 || k > m.rows || k > m.cols {
-		panic("intmat: minor order out of range")
-	}
-	var g int64
-	rowSets := combinations(m.rows, k)
-	colSets := combinations(m.cols, k)
-	for _, rs := range rowSets {
-		for _, cs := range colSets {
-			d := m.SubMatrix(rs, cs).Det()
-			g = rational.GCD(g, d)
-			if g == 1 {
-				return 1
-			}
-		}
-	}
-	return g
-}
-
-// combinations returns all k-subsets of {0..n-1} in lexicographic order.
-func combinations(n, k int) [][]int {
-	if k > n {
-		return nil
-	}
-	idx := make([]int, k)
-	for i := range idx {
-		idx[i] = i
-	}
-	var out [][]int
-	for {
-		c := make([]int, k)
-		copy(c, idx)
-		out = append(out, c)
-		// Advance.
-		i := k - 1
-		for i >= 0 && idx[i] == n-k+i {
-			i--
-		}
-		if i < 0 {
-			return out
-		}
-		idx[i]++
-		for j := i + 1; j < k; j++ {
-			idx[j] = idx[j-1] + 1
-		}
-	}
+// independent columns of m, the leftmost such set: the pivot columns of
+// its Hermite normal form, which are exactly the columns a greedy
+// left-to-right scan keeps. This implements the §3.4.1 reduction: when the
+// columns of G are dependent, footprint analysis proceeds on the submatrix
+// G' of independent columns (Example 7).
+func (m Mat) MaxIndependentCols() ([]int, error) {
+	h, err := HNFChecked(m)
+	return h.PivotCols, err
 }

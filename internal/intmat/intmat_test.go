@@ -55,10 +55,10 @@ func TestMul(t *testing.T) {
 	a := FromRows([][]int64{{1, 2}, {3, 4}})
 	b := FromRows([][]int64{{5, 6}, {7, 8}})
 	want := FromRows([][]int64{{19, 22}, {43, 50}})
-	if got := a.Mul(b); !got.Equal(want) {
+	if got := mul(t, a, b); !got.Equal(want) {
 		t.Errorf("Mul = %v, want %v", got, want)
 	}
-	if got := a.Mul(Identity(2)); !got.Equal(a) {
+	if got := mul(t, a, Identity(2)); !got.Equal(a) {
 		t.Errorf("a·I = %v", got)
 	}
 }
@@ -72,7 +72,7 @@ func TestMulVecRowConvention(t *testing.T) {
 		{1, 0, 0, 0},
 	})
 	i := []int64{10, 20, 30}
-	got := g.MulVec(i)
+	got := mulVec(t, g, i)
 	want := []int64{30, 0, 20, 0}
 	for k := range want {
 		if got[k] != want[k] {
@@ -104,19 +104,22 @@ func TestDetSmall(t *testing.T) {
 		{FromRows([][]int64{{0, 2, 3}, {1, 0, 2}, {3, 1, 0}}), 15},
 	}
 	for _, c := range cases {
-		if got := c.m.Det(); got != c.want {
+		if got := det(t, c.m); got != c.want {
 			t.Errorf("Det(%v) = %d, want %d", c.m, got, c.want)
 		}
 	}
 }
 
+// TestDetNonSquarePanics: DetBig, the exact determinant that never
+// overflows, panics on a non-square receiver — a shape bug, not an input
+// (DetChecked reports it as a ShapeError instead).
 func TestDetNonSquarePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Det of non-square did not panic")
+			t.Fatal("DetBig of non-square did not panic")
 		}
 	}()
-	NewMat(2, 3).Det()
+	NewMat(2, 3).DetBig()
 }
 
 func TestDetMatchesRational(t *testing.T) {
@@ -130,7 +133,7 @@ func TestDetMatchesRational(t *testing.T) {
 			}
 		}
 		want := m.ToRat().Det()
-		if got := m.Det(); !rational.FromInt(got).Equal(want) {
+		if got := det(t, m); !rational.FromInt(got).Equal(want) {
 			t.Fatalf("trial %d: Bareiss Det(%v)=%d, rational Det=%v", trial, m, got, want)
 		}
 	}
@@ -149,7 +152,7 @@ func TestRank(t *testing.T) {
 		{FromRows([][]int64{{1, 0}, {0, 1}, {1, 1}}), 2},
 	}
 	for _, c := range cases {
-		if got := c.m.Rank(); got != c.want {
+		if got := rank(t, c.m); got != c.want {
 			t.Errorf("Rank(%v) = %d, want %d", c.m, got, c.want)
 		}
 	}
@@ -195,7 +198,10 @@ func TestZeroColsAndNonZeroCols(t *testing.T) {
 func TestMaxIndependentCols(t *testing.T) {
 	// Example 7: G = [[1,2,1],[0,0,1]]; first and third columns independent.
 	g := FromRows([][]int64{{1, 2, 1}, {0, 0, 1}})
-	got := g.MaxIndependentCols()
+	got, err := g.MaxIndependentCols()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("MaxIndependentCols = %v, want [0 2]", got)
 	}
@@ -210,7 +216,10 @@ func TestMaxIndependentCols(t *testing.T) {
 
 	// Example 10 class C: C(i,2i,i+2j): G = [[1,2,1],[0,0,2]].
 	g2 := FromRows([][]int64{{1, 2, 1}, {0, 0, 2}})
-	got2 := g2.MaxIndependentCols()
+	got2, err := g2.MaxIndependentCols()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got2) != 2 || got2[0] != 0 || got2[1] != 2 {
 		t.Fatalf("MaxIndependentCols = %v, want [0 2]", got2)
 	}
@@ -227,59 +236,79 @@ func TestWithRow(t *testing.T) {
 	}
 }
 
+// TestGCDOfMinors checks the identity IsOnto rests on (Lemma 2 via the
+// Smith form): the gcd of the k×k minors is the product of the first k
+// invariant factors.
 func TestGCDOfMinors(t *testing.T) {
-	// G = [[2,0],[0,2]]: all 2x2 minors are 4, 1x1 minors gcd 2.
-	g := Diag(2, 2)
-	if got := g.GCDOfMinors(2); got != 4 {
-		t.Errorf("GCDOfMinors(2) = %d, want 4", got)
+	cases := []struct {
+		g    Mat
+		k    int
+		want int64
+	}{
+		{Diag(2, 2), 2, 4},                    // all 2x2 minors are 4
+		{Diag(2, 2), 1, 2},                    // 1x1 minors gcd 2
+		{FromRows([][]int64{{1}, {1}}), 1, 1}, // A[i+j] in a 2-deep nest: onto
+		{FromRows([][]int64{{2, 4, 4}, {-6, 6, 12}, {10, -4, -16}}), 2, 12},
 	}
-	if got := g.GCDOfMinors(1); got != 2 {
-		t.Errorf("GCDOfMinors(1) = %d, want 2", got)
+	for _, c := range cases {
+		if got := gcdOfMinors(t, c.g, c.k); got != c.want {
+			t.Errorf("gcd of %d×%d minors of %v = %d, want %d", c.k, c.k, c.g, got, c.want)
+		}
+		prod := int64(1)
+		for _, d := range snf(t, c.g).Invariants[:c.k] {
+			prod *= d
+		}
+		if prod != c.want {
+			t.Errorf("first %d invariants of %v multiply to %d, want %d", c.k, c.g, prod, c.want)
+		}
 	}
-	// A[i+j] in a 2-deep nest: G = [[1],[1]] — onto.
-	g2 := FromRows([][]int64{{1}, {1}})
-	if got := g2.GCDOfMinors(1); got != 1 {
-		t.Errorf("GCDOfMinors = %d, want 1", got)
+}
+
+// gcdOfMinors is the gcd of every k×k subdeterminant of m, by brute force.
+func gcdOfMinors(t testing.TB, m Mat, k int) int64 {
+	var g int64
+	var rows, cols []int
+	var pick func(n, from int, into *[]int, done func())
+	pick = func(n, from int, into *[]int, done func()) {
+		if len(*into) == k {
+			done()
+			return
+		}
+		for i := from; i < n; i++ {
+			*into = append(*into, i)
+			pick(n, i+1, into, done)
+			*into = (*into)[:len(*into)-1]
+		}
 	}
+	pick(m.Rows(), 0, &rows, func() {
+		pick(m.Cols(), 0, &cols, func() {
+			g = rational.GCD(g, det(t, m.SubMatrix(rows, cols)))
+		})
+	})
+	return g
 }
 
 func TestIsOntoIsOneToOne(t *testing.T) {
 	// A[i+j]: onto but not one-to-one.
 	g := FromRows([][]int64{{1}, {1}})
-	if !IsOnto(g) {
+	if !isOnto(t, g) {
 		t.Error("A[i+j] map should be onto")
 	}
-	if IsOneToOne(g) {
+	if isOneToOne(t, g) {
 		t.Error("A[i+j] map should not be one-to-one")
 	}
 	// A[2i]: one-to-one but not onto.
 	g2 := FromRows([][]int64{{2}})
-	if IsOnto(g2) {
+	if isOnto(t, g2) {
 		t.Error("A[2i] map should not be onto")
 	}
-	if !IsOneToOne(g2) {
+	if !isOneToOne(t, g2) {
 		t.Error("A[2i] map should be one-to-one")
 	}
 	// Unimodular: both.
 	g3 := FromRows([][]int64{{1, 0}, {1, 1}})
-	if !IsOnto(g3) || !IsOneToOne(g3) {
+	if !isOnto(t, g3) || !isOneToOne(t, g3) {
 		t.Error("unimodular map should be bijective")
-	}
-}
-
-func TestCombinations(t *testing.T) {
-	got := combinations(4, 2)
-	if len(got) != 6 {
-		t.Fatalf("combinations(4,2) has %d elements", len(got))
-	}
-	want := [][]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}
-	for i := range want {
-		if got[i][0] != want[i][0] || got[i][1] != want[i][1] {
-			t.Fatalf("combinations = %v", got)
-		}
-	}
-	if len(combinations(2, 3)) != 0 {
-		t.Error("combinations(2,3) should be empty")
 	}
 }
 
@@ -298,7 +327,7 @@ func TestPropDetMultiplicative(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(3)
 		a, b := randMat(rng, n, n, 5), randMat(rng, n, n, 5)
-		if a.Mul(b).Det() != a.Det()*b.Det() {
+		if det(t, mul(t, a, b)) != det(t, a)*det(t, b) {
 			t.Fatalf("det(ab) != det(a)det(b) for %v, %v", a, b)
 		}
 	}
@@ -307,7 +336,7 @@ func TestPropDetMultiplicative(t *testing.T) {
 func TestPropTransposeDet(t *testing.T) {
 	f := func(a, b, c, d int8) bool {
 		m := FromRows([][]int64{{int64(a), int64(b)}, {int64(c), int64(d)}})
-		return m.Det() == m.Transpose().Det()
+		return det(t, m) == det(t, m.Transpose())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -319,11 +348,11 @@ func TestPropRankBounds(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		r, c := 1+rng.Intn(4), 1+rng.Intn(4)
 		m := randMat(rng, r, c, 4)
-		rk := m.Rank()
+		rk := rank(t, m)
 		if rk < 0 || rk > r || rk > c {
 			t.Fatalf("rank %d out of bounds for %dx%d", rk, r, c)
 		}
-		if rk != m.Transpose().Rank() {
+		if rk != rank(t, m.Transpose()) {
 			t.Fatalf("rank(m) != rank(mᵗ) for %v", m)
 		}
 	}
@@ -334,7 +363,7 @@ func BenchmarkDet4(b *testing.B) {
 		{3, 1, 4, 1}, {5, 9, 2, 6}, {5, 3, 5, 8}, {9, 7, 9, 3},
 	})
 	for i := 0; i < b.N; i++ {
-		_ = m.Det()
+		_, _ = m.DetChecked()
 	}
 }
 
@@ -343,6 +372,99 @@ func BenchmarkMul4(b *testing.B) {
 		{3, 1, 4, 1}, {5, 9, 2, 6}, {5, 3, 5, 8}, {9, 7, 9, 3},
 	})
 	for i := 0; i < b.N; i++ {
-		_ = m.Mul(m)
+		_, _ = m.MulChecked(m)
 	}
+}
+
+// The helpers below run the package's error-returning operations on
+// inputs small enough never to overflow, failing the test if one does.
+
+func mul(t testing.TB, a, b Mat) Mat {
+	t.Helper()
+	p, err := a.MulChecked(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func mulVec(t testing.TB, m Mat, v []int64) []int64 {
+	t.Helper()
+	p, err := m.MulVecChecked(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func det(t testing.TB, m Mat) int64 {
+	t.Helper()
+	d, err := m.DetChecked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func rank(t testing.TB, m Mat) int {
+	t.Helper()
+	r, err := m.Rank()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func hnf(t testing.TB, m Mat) HNFResult {
+	t.Helper()
+	h, err := HNFChecked(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+func snf(t testing.TB, m Mat) SNFResult {
+	t.Helper()
+	s, err := SNFChecked(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func isOnto(t testing.TB, m Mat) bool {
+	t.Helper()
+	ok, err := IsOnto(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
+}
+
+func isOneToOne(t testing.TB, m Mat) bool {
+	t.Helper()
+	ok, err := IsOneToOne(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
+}
+
+func solveIntLeft(t testing.TB, a Mat, v []int64) ([]int64, bool) {
+	t.Helper()
+	u, ok, err := SolveIntLeftChecked(a, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u, ok
+}
+
+func nullspace(t testing.TB, m Mat, f func(Mat) ([][]int64, error)) [][]int64 {
+	t.Helper()
+	b, err := f(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -91,7 +91,7 @@ func TestSolveIntLeftRoundTrip(t *testing.T) {
 		if err != nil {
 			continue // reported overflow is a legal outcome
 		}
-		if ok != intmat.InRowLattice(a, b) {
+		if in, err := intmat.InRowLattice(a, b); err != nil || ok != in {
 			t.Fatalf("SolveIntLeft solvable=%v disagrees with InRowLattice for A=%v b=%v", ok, a, b)
 		}
 		if !ok {

@@ -6,10 +6,12 @@ import (
 	"looppart/internal/rational"
 )
 
-// RatMat is a dense matrix of exact rationals. It backs the operations that
-// leave the integers: tile-matrix inversion (L = Λ(H⁻¹)ᵗ, Def. 2), rank
-// computation, and solving â = Σ uᵢ·gᵢ for the lattice coordinates of a
-// spread vector (Theorem 4).
+// RatMat is a dense matrix of exact rationals. It backs the one operation
+// that leaves the integers: tile-matrix inversion (L = Λ(H⁻¹)ᵗ, Def. 2).
+// Its entries are rational.Rat values, whose arithmetic panics on int64
+// overflow; rank, independent columns and the Theorem 4 solve run on the
+// overflow-checked integer eliminations instead (Rank, MaxIndependentCols,
+// SolveLeft).
 type RatMat struct {
 	rows, cols int
 	a          []rational.Rat
@@ -109,54 +111,6 @@ func (r RatMat) Transpose() RatMat {
 	return t
 }
 
-// appendCol returns a copy of r with the integer column c appended.
-func (r RatMat) appendCol(c []int64) RatMat {
-	if len(c) != r.rows {
-		panic("intmat: appendCol length mismatch")
-	}
-	n := NewRatMat(r.rows, r.cols+1)
-	for i := 0; i < r.rows; i++ {
-		for j := 0; j < r.cols; j++ {
-			n.Set(i, j, r.At(i, j))
-		}
-		n.Set(i, r.cols, rational.FromInt(c[i]))
-	}
-	return n
-}
-
-// gaussRank computes the rank by fraction-exact Gaussian elimination,
-// destroying a working copy.
-func (r RatMat) gaussRank() int {
-	w := r.Clone()
-	rank := 0
-	for col := 0; col < w.cols && rank < w.rows; col++ {
-		// Find pivot at or below row `rank`.
-		p := -1
-		for i := rank; i < w.rows; i++ {
-			if !w.At(i, col).IsZero() {
-				p = i
-				break
-			}
-		}
-		if p == -1 {
-			continue
-		}
-		w.swapRows(rank, p)
-		piv := w.At(rank, col)
-		for i := rank + 1; i < w.rows; i++ {
-			f := w.At(i, col).Div(piv)
-			if f.IsZero() {
-				continue
-			}
-			for j := col; j < w.cols; j++ {
-				w.Set(i, j, w.At(i, j).Sub(f.Mul(w.At(rank, j))))
-			}
-		}
-		rank++
-	}
-	return rank
-}
-
 func (r RatMat) swapRows(i, j int) {
 	for c := 0; c < r.cols; c++ {
 		vi, vj := r.At(i, c), r.At(j, c)
@@ -253,54 +207,4 @@ func (r RatMat) Inverse() (RatMat, bool) {
 		}
 	}
 	return inv, true
-}
-
-// SolveLeft solves the row-vector system x·r = b for x, following the
-// paper's row-vector convention. r must be square and nonsingular. It
-// returns x and true on success.
-func (r RatMat) SolveLeft(b []rational.Rat) ([]rational.Rat, bool) {
-	if r.rows != r.cols || len(b) != r.cols {
-		return nil, false
-	}
-	inv, ok := r.Inverse()
-	if !ok {
-		return nil, false
-	}
-	// x = b · r⁻¹.
-	x := make([]rational.Rat, r.rows)
-	for j := 0; j < r.rows; j++ {
-		s := rational.Zero
-		for k := 0; k < r.cols; k++ {
-			s = s.Add(b[k].Mul(inv.At(k, j)))
-		}
-		x[j] = s
-	}
-	return x, true
-}
-
-// SolveLeftInt solves x·m = b over the rationals for integer m and b.
-// Returns the rational solution vector, or ok=false if m is singular.
-func SolveLeftInt(m Mat, b []int64) ([]rational.Rat, bool) {
-	rb := make([]rational.Rat, len(b))
-	for i, v := range b {
-		rb[i] = rational.FromInt(v)
-	}
-	return m.ToRat().SolveLeft(rb)
-}
-
-// String renders the matrix.
-func (r RatMat) String() string {
-	s := "["
-	for i := 0; i < r.rows; i++ {
-		if i > 0 {
-			s += "; "
-		}
-		for j := 0; j < r.cols; j++ {
-			if j > 0 {
-				s += " "
-			}
-			s += r.At(i, j).String()
-		}
-	}
-	return s + "]"
 }

@@ -18,6 +18,7 @@ package lattice
 
 import (
 	"fmt"
+	"slices"
 
 	"looppart/internal/intmat"
 )
@@ -52,28 +53,34 @@ func (b Bounded) NumGen() int { return b.Gen.Rows() }
 // Coordinates solves t = Σ uᵢ·aᵢ over the integers, ignoring the bounds.
 // It returns the coefficient vector and true if t lies on the (unbounded)
 // lattice. When the generators are linearly independent the solution is
-// unique.
-func (b Bounded) Coordinates(t []int64) ([]int64, bool) {
-	return intmat.SolveIntLeft(b.Gen, t)
+// unique. Overflow in the elimination is an error wrapping
+// intmat.ErrOverflow, as in every method here.
+func (b Bounded) Coordinates(t []int64) ([]int64, bool, error) {
+	return intmat.SolveIntLeftChecked(b.Gen, t)
 }
 
-// ContainsOrigin-translated membership: Contains reports whether the point
-// p is an element of the bounded lattice, i.e. p = Σ lᵢ·aᵢ with
-// 0 ≤ lᵢ ≤ λᵢ. For linearly independent generators this is a direct
-// coordinate check; otherwise it falls back to bounded search over the
-// coefficient box.
-func (b Bounded) Contains(p []int64) bool {
-	if intmat.IsOneToOne(b.Gen) {
-		u, ok := b.Coordinates(p)
-		if !ok {
-			return false
-		}
-		return b.inBox(u)
+// Contains reports whether the point p is an element of the bounded
+// lattice, i.e. p = Σ lᵢ·aᵢ with 0 ≤ lᵢ ≤ λᵢ. For linearly independent
+// generators this is a direct coordinate check; otherwise it falls back to
+// bounded search over the coefficient box.
+func (b Bounded) Contains(p []int64) (bool, error) {
+	indep, err := intmat.IsOneToOne(b.Gen)
+	if err != nil {
+		return false, err
+	}
+	if indep {
+		u, ok, err := b.Coordinates(p)
+		return ok && b.inBox(u), err
 	}
 	// Dependent generators: enumerate the coefficient box (exact, small
 	// cases only — dependent generators arise from rank-deficient G after
 	// which callers normally reduce columns, so this path is rare).
-	return b.searchBox(p)
+	found := false
+	err = b.forEachPoint(func(q []int64) bool {
+		found = slices.Equal(q, p)
+		return !found
+	})
+	return found, err
 }
 
 func (b Bounded) inBox(u []int64) bool {
@@ -85,30 +92,32 @@ func (b Bounded) inBox(u []int64) bool {
 	return true
 }
 
-func (b Bounded) searchBox(p []int64) bool {
+// forEachPoint calls fn with Σ lᵢ·aᵢ for every coefficient vector of the
+// box, in lexicographic order, until fn returns false. The point buffer is
+// reused between calls.
+func (b Bounded) forEachPoint(fn func(q []int64) bool) error {
 	n := b.NumGen()
 	coef := make([]int64, n)
-	var rec func(k int) bool
-	rec = func(k int) bool {
+	q := make([]int64, b.Dim())
+	var rec func(k int) (bool, error)
+	rec = func(k int) (bool, error) {
 		if k == n {
-			q := b.Gen.MulVec(coef)
-			for j := range q {
-				if q[j] != p[j] {
-					return false
-				}
+			if err := b.Gen.MulVecInto(coef, q); err != nil {
+				return false, err
 			}
-			return true
+			return fn(q), nil
 		}
 		for v := int64(0); v <= b.Bounds[k]; v++ {
 			coef[k] = v
-			if rec(k + 1) {
-				return true
+			if more, err := rec(k + 1); !more || err != nil {
+				return false, err
 			}
 		}
 		coef[k] = 0
-		return false
+		return true, nil
 	}
-	return rec(0)
+	_, err := rec(0)
+	return err
 }
 
 // IntersectsTranslate implements Theorem 3: the bounded lattice and its
@@ -119,50 +128,44 @@ func (b Bounded) searchBox(p []int64) bool {
 // The paper states the condition with 0 ≤ uᵢ ≤ λᵢ; a translation by a
 // vector with some negative coordinates intersects symmetrically (translate
 // the other lattice instead), so the implementable condition is |uᵢ| ≤ λᵢ.
-func (b Bounded) IntersectsTranslate(t []int64) ([]int64, bool) {
-	u, ok := b.Coordinates(t)
+func (b Bounded) IntersectsTranslate(t []int64) ([]int64, bool, error) {
+	u, ok, err := b.Coordinates(t)
 	if !ok {
-		return nil, false
+		return nil, false, err
 	}
 	for i, ui := range u {
 		if ui < -b.Bounds[i] || ui > b.Bounds[i] {
-			return nil, false
+			return nil, false, nil
 		}
 	}
-	return u, true
+	return u, true, nil
 }
 
 // Points enumerates the distinct points of the bounded lattice. Intended
 // for validation and small exact computations; the coefficient box is
 // enumerated exhaustively and duplicate images (possible when generators
 // are dependent or coincident) are deduplicated.
-func (b Bounded) Points() []Point {
+func (b Bounded) Points() ([]Point, error) {
 	set := make(map[string]Point)
-	n := b.NumGen()
-	coef := make([]int64, n)
-	var rec func(k int)
-	rec = func(k int) {
-		if k == n {
-			p := b.Gen.MulVec(coef)
-			set[keyOf(p)] = p
-			return
-		}
-		for v := int64(0); v <= b.Bounds[k]; v++ {
-			coef[k] = v
-			rec(k + 1)
-		}
-		coef[k] = 0
+	err := b.forEachPoint(func(q []int64) bool {
+		set[keyOf(q)] = slices.Clone(q)
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
-	rec(0)
 	pts := make([]Point, 0, len(set))
 	for _, p := range set {
 		pts = append(pts, p)
 	}
-	return pts
+	return pts, nil
 }
 
 // Size returns the number of distinct points, via enumeration.
-func (b Bounded) Size() int64 { return int64(len(b.Points())) }
+func (b Bounded) Size() (int64, error) {
+	pts, err := b.Points()
+	return int64(len(pts)), err
+}
 
 // Point is an integer point in the data space.
 type Point = []int64

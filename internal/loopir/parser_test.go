@@ -1,8 +1,11 @@
 package loopir
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"looppart/internal/intmat"
 )
 
 func TestParseExample2(t *testing.T) {
@@ -272,5 +275,32 @@ enddoseq
 	}
 	if n2.String() != n.String() {
 		t.Fatalf("round trip changed:\n%s\nvs\n%s", n.String(), n2.String())
+	}
+}
+
+// TestParseRejectsSpaceBeyondInt64: a doall space whose extent or point
+// count does not fit in int64 is rejected up front, not wrapped into a
+// small (or negative) size the searches would plan from.
+func TestParseRejectsSpaceBeyondInt64(t *testing.T) {
+	for _, src := range []string{
+		// 6442450944² ≈ 4.15e19 points; wrapping gave 2^62.
+		"doall (i, 1, 6442450944)\n doall (j, 1, 6442450944)\n A[i, j] = 1\n enddoall\nenddoall",
+		// One extent of 2^64 − 1.
+		"doall (i, -9223372036854775807, 9223372036854775807)\n A[i] = 1\nenddoall",
+	} {
+		if n, err := Parse(src, nil); !errors.Is(err, intmat.ErrOverflow) {
+			t.Errorf("Parse accepted an unrepresentable space (%v, %v):\n%s", n, err, src)
+		}
+	}
+	// The largest representable extent still parses, as does a doseq loop
+	// of any length and a symbolic doall bound.
+	for _, src := range []string{
+		"doall (i, 0, 9223372036854775806)\n A[i] = 1\nenddoall",
+		"doseq (t, 1, 9223372036854775807)\n doall (i, 1, 8)\n A[i] = 1\n enddoall\nenddoseq",
+		"doall (i, 1, ?N)\n doall (j, 1, 9223372036854775807)\n A[i, j] = 1\n enddoall\nenddoall",
+	} {
+		if _, err := Parse(src, nil); err != nil {
+			t.Errorf("Parse rejected a representable space: %v\n%s", err, src)
+		}
 	}
 }

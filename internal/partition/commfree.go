@@ -3,6 +3,7 @@ package partition
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"looppart/internal/footprint"
 	"looppart/internal/intmat"
@@ -28,17 +29,21 @@ import (
 //
 // includeReadOnly controls whether classes without writes contribute
 // (true reproduces [7]'s strict notion, which Example 2's partition a
-// satisfies; false optimizes only coherence traffic).
-func ConflictDirections(a *footprint.Analysis, includeReadOnly bool) [][]int64 {
+// satisfies; false optimizes only coherence traffic). An elimination
+// beyond int64 is an error wrapping intmat.ErrOverflow: the directions,
+// and so whether a comm-free partition exists, are then undecided.
+func ConflictDirections(a *footprint.Analysis, includeReadOnly bool) ([][]int64, error) {
 	var dirs [][]int64
 	for _, c := range a.Classes {
 		if !includeReadOnly && !c.HasWrite() {
 			continue
 		}
 		// Left null space of G: same-datum differences within one ref.
-		for _, n := range intmat.LeftNullspaceInt(c.G) {
-			dirs = append(dirs, n)
+		null, err := intmat.LeftNullspaceInt(c.G)
+		if err != nil {
+			return nil, err
 		}
+		dirs = append(dirs, null...)
 		// Particular solutions for each member pair relative to the
 		// first member (differences are closed under subtraction, so
 		// pairs with the first member span all pairs modulo null space).
@@ -48,12 +53,16 @@ func ConflictDirections(a *footprint.Analysis, includeReadOnly bool) [][]int64 {
 			for k := range diff {
 				diff[k] = r.A[k] - base[k]
 			}
-			if delta, ok := intmat.SolveIntLeft(c.G, diff); ok {
+			delta, ok, err := intmat.SolveIntLeftChecked(c.G, diff)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
 				dirs = append(dirs, delta)
 			}
 		}
 	}
-	return nonZero(dirs)
+	return nonZero(dirs), nil
 }
 
 func nonZero(vs [][]int64) [][]int64 {
@@ -77,9 +86,13 @@ func nonZero(vs [][]int64) [][]int64 {
 // h·δ = 0 for every conflict direction δ. An empty result means no
 // communication-free hyperplane partition exists (the [7] algorithm
 // fails; the footprint optimizer still produces a minimal-traffic
-// partition — the paper's Example 10 case).
-func CommFreeNormals(a *footprint.Analysis, includeReadOnly bool) [][]int64 {
-	dirs := ConflictDirections(a, includeReadOnly)
+// partition — the paper's Example 10 case). Overflow is an error, as in
+// ConflictDirections.
+func CommFreeNormals(a *footprint.Analysis, includeReadOnly bool) ([][]int64, error) {
+	dirs, err := ConflictDirections(a, includeReadOnly)
+	if err != nil {
+		return nil, err
+	}
 	l := len(a.Vars)
 	if len(dirs) == 0 {
 		// No sharing at all: every direction works; return the axes.
@@ -89,7 +102,7 @@ func CommFreeNormals(a *footprint.Analysis, includeReadOnly bool) [][]int64 {
 			v[k] = 1
 			basis[k] = v
 		}
-		return basis
+		return basis, nil
 	}
 	m := intmat.FromRows(dirs)
 	// h must satisfy m·hᵗ = 0.
@@ -142,20 +155,27 @@ func SlabPlanFor(normal []int64, width int64, commFree bool, lo, hi []int64) (Sl
 	if width <= 0 {
 		return SlabPlan{}, fmt.Errorf("partition: non-positive slab width %d", width)
 	}
-	base, _ := hyperplaneRange(normal, lo, hi)
+	base, _, err := hyperplaneRange(normal, lo, hi)
+	if err != nil {
+		return SlabPlan{}, err
+	}
 	return SlabPlan{Normal: normal, Width: width, CommFree: commFree, base: base}, nil
 }
 
 // FindCommFree looks for a communication-free slab partition of the
-// analysis over P processors. It returns ok = false when none exists.
-// The normals it weighs and the one it picks are decision events in
-// ctx's event log.
-func FindCommFree(ctx context.Context, a *footprint.Analysis, procs int, includeReadOnly bool) (SlabPlan, bool) {
+// analysis over P processors. It returns ok = false when none exists, and
+// an error wrapping intmat.ErrOverflow when overflow leaves that
+// undecided. The normals it weighs and the one it picks are decision
+// events in ctx's event log.
+func FindCommFree(ctx context.Context, a *footprint.Analysis, procs int, includeReadOnly bool) (SlabPlan, bool, error) {
 	log := obs.EventsFrom(ctx)
-	normals := CommFreeNormals(a, includeReadOnly)
+	normals, err := CommFreeNormals(a, includeReadOnly)
+	if err != nil {
+		return SlabPlan{}, false, err
+	}
 	if len(normals) == 0 {
 		log.Emit("partition.commfree.none", "no conflict-orthogonal normal", nil)
-		return SlabPlan{}, false
+		return SlabPlan{}, false, nil
 	}
 	// Prefer the normal giving the widest slabs (most h·i levels per
 	// processor → best load balance granularity).
@@ -163,8 +183,10 @@ func FindCommFree(ctx context.Context, a *footprint.Analysis, procs int, include
 	best := SlabPlan{}
 	found := false
 	for _, h := range normals {
-		lo, hi := hyperplaneRange(h, space.Lo, space.Hi)
-		levels := hi - lo + 1
+		lo, levels, err := hyperplaneRange(h, space.Lo, space.Hi)
+		if err != nil {
+			return SlabPlan{}, false, err
+		}
 		if log != nil {
 			log.Emit("partition.commfree.candidate", fmt.Sprintf("normal=%v", h), map[string]any{
 				"normal":   fmt.Sprint(h),
@@ -188,7 +210,7 @@ func FindCommFree(ctx context.Context, a *footprint.Analysis, procs int, include
 			"width":  best.Width,
 		})
 	}
-	return best, found
+	return best, found, nil
 }
 
 func boundsOfAnalysis(a *footprint.Analysis) boundsLoHi {
@@ -203,19 +225,26 @@ func boundsOfAnalysis(a *footprint.Analysis) boundsLoHi {
 
 type boundsLoHi struct{ Lo, Hi []int64 }
 
-// hyperplaneRange returns the min and max of h·i over the box [lo, hi].
-func hyperplaneRange(h, lo, hi []int64) (int64, int64) {
-	var mn, mx int64
+// hyperplaneRange returns the minimum of h·i over the box [lo, hi] and
+// the number of h·i levels the box spans. Every partial sum of h·p over
+// the box lies between the partial sums of the termwise extremes, so when
+// this succeeds SlabOf's h·p cannot wrap either; a range beyond int64 is
+// an error wrapping intmat.ErrOverflow.
+func hyperplaneRange(h, lo, hi []int64) (base, levels int64, err error) {
+	var mx int64
+	ok := true
 	for k := range h {
-		a := h[k] * lo[k]
-		b := h[k] * hi[k]
-		if a > b {
-			a, b = b, a
-		}
-		mn += a
-		mx += b
+		a, okA := intmat.CheckedMul(h[k], lo[k])
+		b, okB := intmat.CheckedMul(h[k], hi[k])
+		var okMn, okMx bool
+		base, okMn = intmat.CheckedAdd(base, min(a, b))
+		mx, okMx = intmat.CheckedAdd(mx, max(a, b))
+		ok = ok && okA && okB && okMn && okMx
 	}
-	return mn, mx
+	if d := uint64(mx) - uint64(base); ok && d < math.MaxInt64 {
+		return base, int64(d) + 1, nil
+	}
+	return 0, 0, fmt.Errorf("%w: the levels of hyperplane %v·i over the iteration space", intmat.ErrOverflow, h)
 }
 
 func floorDivInt(a, b int64) int64 {

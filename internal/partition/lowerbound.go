@@ -70,7 +70,7 @@ func CommLowerBound(a *footprint.Analysis, procs int) (*LowerBoundResult, error)
 		if !ok {
 			// Arithmetic overflow in a count: the bound for this nest is
 			// not trustworthy, report none rather than a wrong one.
-			return nil, fmt.Errorf("partition: communication lower bound overflows for space %v", sizes)
+			return nil, fmt.Errorf("%w: communication lower bound for space %v", intmat.ErrOverflow, sizes)
 		}
 		if words < best.Words {
 			best.Words, best.Grid, best.Ext = words, cloneGrid(grid), cloneGrid(ext)
@@ -95,7 +95,12 @@ type lbClass struct {
 func lbClasses(a *footprint.Analysis, l int) []lbClass {
 	var out []lbClass
 	for _, c := range a.Classes {
-		if c.G.Rows() != l || !intmat.IsOneToOne(c.G) {
+		if c.G.Rows() != l {
+			continue
+		}
+		// A class whose elimination overflows is left out, as is one
+		// whose offsets do: omitting a class only lowers the bound.
+		if oneToOne, err := intmat.IsOneToOne(c.G); err != nil || !oneToOne {
 			continue
 		}
 		var writeOff []int64
@@ -255,7 +260,10 @@ func (lowerBoundFamily) Optimize(ctx context.Context, a *footprint.Analysis, pro
 		// to the footprint-optimal rectangle rather than pick arbitrarily.
 		return rectFamily{}.Optimize(ctx, a, procs)
 	}
-	p := lbRectPlan(a, lb)
+	p, err := lbRectPlan(a, lb)
+	if err != nil {
+		return nil, err
+	}
 	t := p.Tile()
 	return &FamilyPlan{
 		Tile:               &t,
@@ -283,7 +291,10 @@ func (lowerBoundFamily) TopK(a *footprint.Analysis, procs, k int, opt TopKOption
 			return out, nil
 		}
 	}
-	p := lbRectPlan(a, lb)
+	p, err := lbRectPlan(a, lb)
+	if err != nil {
+		return nil, err
+	}
 	t := p.Tile()
 	return append(out, FamilyPlan{
 		Tile:               &t,
@@ -295,9 +306,12 @@ func (lowerBoundFamily) TopK(a *footprint.Analysis, procs, k int, opt TopKOption
 
 // lbRectPlan scores the comm-optimal grid with the standard rect model
 // terms so the plan carries the same predictions any rect plan would.
-func lbRectPlan(a *footprint.Analysis, lb *LowerBoundResult) RectPlan {
+func lbRectPlan(a *footprint.Analysis, lb *LowerBoundResult) (RectPlan, error) {
 	ev := footprint.NewEvaluator(a)
 	fp, ex := ev.RectTotalFootprint(lb.Ext)
+	if err := checkScored(fp); err != nil {
+		return RectPlan{}, err
+	}
 	tr, _ := a.RectTotalTraffic(lb.Ext)
 	return RectPlan{
 		Grid:               cloneGrid(lb.Grid),
@@ -305,7 +319,7 @@ func lbRectPlan(a *footprint.Analysis, lb *LowerBoundResult) RectPlan {
 		PredictedFootprint: fp,
 		PredictedTraffic:   tr,
 		Exactness:          ex,
-	}
+	}, nil
 }
 
 func init() {

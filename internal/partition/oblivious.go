@@ -50,7 +50,11 @@ func OptimizeOblivious(a *footprint.Analysis, procs int) (*ObliviousPlan, error)
 	for i := range weights {
 		weights[i] = 1
 	}
-	if coeffs, ok := ContinuousRatiosData(a); ok {
+	coeffs, ok, err := ContinuousRatiosData(a)
+	if err != nil {
+		return nil, err
+	}
+	if ok {
 		// Invert the Lagrange coefficients: a dimension with a large
 		// boundary cost wants long extents, i.e. to be split last, so its
 		// split weight is low. Guard against all-zero coefficients.

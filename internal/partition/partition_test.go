@@ -27,7 +27,7 @@ func analyze(t testing.TB, src string, params map[string]int64) *footprint.Analy
 func TestContinuousRatiosExample8(t *testing.T) {
 	// The paper's Example 8 headline: Li : Lj : Lk :: 2 : 3 : 4.
 	a := analyze(t, paperex.Example8, map[string]int64{"N": 100})
-	coeffs, ok := ContinuousRatios(a)
+	coeffs, ok := ratios(t, ContinuousRatios, a)
 	if !ok {
 		t.Fatal("no closed form")
 	}
@@ -42,7 +42,7 @@ func TestContinuousRatiosExample10(t *testing.T) {
 	// i.e. minimize 3(Lj+1)-ish terms... in extent form: the optimal
 	// extents satisfy Li : Lj :: 3 : 2 (the paper's 2Li = 3Lj + 1).
 	a := analyze(t, paperex.Example10, map[string]int64{"N": 100})
-	coeffs, ok := ContinuousRatios(a)
+	coeffs, ok := ratios(t, ContinuousRatios, a)
 	if !ok {
 		t.Fatal("no closed form")
 	}
@@ -60,7 +60,7 @@ doall (i, 1, 16)
     A[i,j] = A[i,j]
   enddoall
 enddoall`, nil)
-	coeffs, ok := ContinuousRatios(a)
+	coeffs, ok := ratios(t, ContinuousRatios, a)
 	if !ok {
 		t.Fatal("no ratios")
 	}
@@ -152,7 +152,7 @@ func TestCommFreeExample2(t *testing.T) {
 	// Partition a of Example 2 is communication-free; the normal is
 	// (0,1): slabs of constant j ranges.
 	a := analyze(t, paperex.Example2, nil)
-	plan, ok := FindCommFree(context.Background(), a, 100, true)
+	plan, ok := findCommFree(t, a, 100, true)
 	if !ok {
 		t.Fatal("Example 2 has a communication-free partition")
 	}
@@ -184,7 +184,7 @@ func TestCommFreeVerifiedByEnumeration(t *testing.T) {
 	// slabs touch a common element of B or A.
 	a := analyze(t, paperex.Example2, nil)
 	n := a.Nest
-	plan, ok := FindCommFree(context.Background(), a, 10, true)
+	plan, ok := findCommFree(t, a, 10, true)
 	if !ok {
 		t.Fatal("no comm-free plan")
 	}
@@ -221,7 +221,10 @@ func TestCommFreeExample3Skewed(t *testing.T) {
 	// comm-free normal must satisfy h·(1,3) = 0 → h ∝ (3,−1). The A
 	// write class is a single identity reference (no constraints).
 	a := analyze(t, paperex.Example3, map[string]int64{"N": 30})
-	normals := CommFreeNormals(a, true)
+	normals, err := CommFreeNormals(a, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(normals) != 1 {
 		t.Fatalf("normals = %v", normals)
 	}
@@ -229,7 +232,7 @@ func TestCommFreeExample3Skewed(t *testing.T) {
 	if h[0]*1+h[1]*3 != 0 {
 		t.Fatalf("normal %v not orthogonal to (1,3)", h)
 	}
-	plan, ok := FindCommFree(context.Background(), a, 10, true)
+	plan, ok := findCommFree(t, a, 10, true)
 	if !ok {
 		t.Fatal("Example 3 should admit skewed comm-free slabs")
 	}
@@ -242,7 +245,7 @@ func TestCommFreeExample10Fails(t *testing.T) {
 	// Example 10 has no communication-free partition (the case beyond
 	// Ramanujam–Sadayappan); B's conflicts span both dimensions.
 	a := analyze(t, paperex.Example10, map[string]int64{"N": 30})
-	if _, ok := FindCommFree(context.Background(), a, 10, true); ok {
+	if _, ok := findCommFree(t, a, 10, true); ok {
 		t.Fatal("Example 10 should have no comm-free partition")
 	}
 	// But the footprint optimizer still returns a plan.
@@ -257,11 +260,17 @@ func TestConflictDirectionsReadOnlyFilter(t *testing.T) {
 doall (i, 1, 16)
   A[i] = B[i] + B[i+4]
 enddoall`, nil)
-	all := ConflictDirections(a, true)
+	all, err := ConflictDirections(a, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(all) == 0 {
 		t.Fatal("expected B-pair conflict")
 	}
-	writesOnly := ConflictDirections(a, false)
+	writesOnly, err := ConflictDirections(a, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(writesOnly) != 0 {
 		t.Fatalf("read-only conflicts leaked: %v", writesOnly)
 	}
@@ -408,14 +417,20 @@ func TestOptimalityAgainstExhaustiveEnumeration(t *testing.T) {
 			continue
 		}
 		pts := rectPointsForTest(ext)
-		exact := a.ExactTotalFootprint(pts)
+		exact, err := a.ExactTotalFootprint(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if exact < bestExact {
 			bestExact = exact
 			bestExt = ext
 		}
 	}
 	gotPts := rectPointsForTest(plan.Ext)
-	gotExact := a.ExactTotalFootprint(gotPts)
+	gotExact, err := a.ExactTotalFootprint(gotPts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if gotExact != bestExact {
 		t.Fatalf("optimizer chose %v (exact %d); exhaustive best %v (exact %d)",
 			plan.Ext, gotExact, bestExt, bestExact)
@@ -464,11 +479,11 @@ doall (i, 1, 32)
     A[i,j] = B[i,j] + B[i+1,j] + B[i+2,j] + B[i+7,j] + B[i,j+3]
   enddoall
 enddoall`, nil)
-	cache, ok := ContinuousRatios(a)
+	cache, ok := ratios(t, ContinuousRatios, a)
 	if !ok {
 		t.Fatal("no cache ratios")
 	}
-	data, ok := ContinuousRatiosData(a)
+	data, ok := ratios(t, ContinuousRatiosData, a)
 	if !ok {
 		t.Fatal("no data ratios")
 	}
@@ -490,11 +505,29 @@ enddoall`, nil)
 func TestContinuousRatiosDataExample8(t *testing.T) {
 	// Symmetric stencil offsets: â and a⁺ agree (2,3,4).
 	a := analyze(t, paperex.Example8, map[string]int64{"N": 32})
-	data, ok := ContinuousRatiosData(a)
+	data, ok := ratios(t, ContinuousRatiosData, a)
 	if !ok {
 		t.Fatal("no data ratios")
 	}
 	if data[0] != 2 || data[1] != 3 || data[2] != 4 {
 		t.Fatalf("data ratios = %v", data)
 	}
+}
+
+func ratios(t testing.TB, f func(*footprint.Analysis) ([]float64, bool, error), a *footprint.Analysis) ([]float64, bool) {
+	t.Helper()
+	coeffs, ok, err := f(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return coeffs, ok
+}
+
+func findCommFree(t testing.TB, a *footprint.Analysis, procs int, includeReadOnly bool) (SlabPlan, bool) {
+	t.Helper()
+	plan, ok, err := FindCommFree(context.Background(), a, procs, includeReadOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan, ok
 }

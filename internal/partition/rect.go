@@ -11,9 +11,11 @@ package partition
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"looppart/internal/footprint"
+	"looppart/internal/intmat"
 	"looppart/internal/obs"
 	"looppart/internal/telemetry"
 	"looppart/internal/tile"
@@ -49,23 +51,27 @@ func (p RectPlan) String() string {
 // ok is false if any class required enumeration (no closed form); classes
 // whose footprint is shape-invariant contribute zero. A zero coefficient
 // means the objective does not constrain that dimension (any extent is
-// optimal in the model; larger is better for boundary effects).
-func ContinuousRatios(a *footprint.Analysis) (coeffs []float64, ok bool) {
-	l := len(a.Vars)
-	coeffs = make([]float64, l)
+// optimal in the model; larger is better for boundary effects). A
+// decomposition beyond int64 is an error wrapping intmat.ErrOverflow.
+func ContinuousRatios(a *footprint.Analysis) (coeffs []float64, ok bool, err error) {
+	return continuousRatios(a, footprint.Class.SpreadCoeffs)
+}
+
+func continuousRatios(a *footprint.Analysis, solve func(footprint.Class) ([]float64, bool, bool, error)) ([]float64, bool, error) {
+	coeffs := make([]float64, len(a.Vars))
 	for _, c := range a.Classes {
 		if c.FootprintInvariant() {
 			continue
 		}
-		u, _, solvable := c.SpreadCoeffs()
-		if !solvable {
-			return nil, false
+		u, _, solvable, err := solve(c)
+		if err != nil || !solvable {
+			return nil, false, err
 		}
 		for i := range u {
 			coeffs[i] += u[i]
 		}
 	}
-	return coeffs, true
+	return coeffs, true, nil
 }
 
 // ContinuousRatiosData is ContinuousRatios with the cumulative spread a⁺
@@ -74,22 +80,8 @@ func ContinuousRatios(a *footprint.Analysis) (coeffs []float64, ok bool) {
 // cost traffic because remote data is not dynamically replicated. The
 // coefficients dominate the cache (â) coefficients componentwise and
 // differ exactly when a class has interior offsets away from the median.
-func ContinuousRatiosData(a *footprint.Analysis) (coeffs []float64, ok bool) {
-	l := len(a.Vars)
-	coeffs = make([]float64, l)
-	for _, c := range a.Classes {
-		if c.FootprintInvariant() {
-			continue
-		}
-		u, _, solvable := c.CumulativeSpreadCoeffs()
-		if !solvable {
-			return nil, false
-		}
-		for i := range u {
-			coeffs[i] += u[i]
-		}
-	}
-	return coeffs, true
+func ContinuousRatiosData(a *footprint.Analysis) (coeffs []float64, ok bool, err error) {
+	return continuousRatios(a, footprint.Class.CumulativeSpreadCoeffs)
 }
 
 // OptimizeRect finds the rectangular partition of the nest's iteration
@@ -151,6 +143,9 @@ func OptimizeRect(ctx context.Context, a *footprint.Analysis, procs int) (RectPl
 	if !found {
 		return RectPlan{}, fmt.Errorf("partition: no feasible grid of %d processors for space %v", procs, sizes)
 	}
+	if err := checkScored(best.PredictedFootprint); err != nil {
+		return RectPlan{}, err
+	}
 	best.Grid, best.Ext = cloneGrid(best.Grid), cloneGrid(best.Ext)
 	best.PredictedTraffic, _ = a.RectTotalTraffic(best.Ext)
 	sp.SetAttr("grid", fmt.Sprint(best.Grid))
@@ -176,6 +171,16 @@ func rectGrids(a *footprint.Analysis, procs int) (sizes []int64, grids [][]int64
 		return nil, nil, fmt.Errorf("partition: need at least one processor")
 	}
 	return space.Extents(), factorizations(int64(procs), l), nil
+}
+
+// checkScored reports a search whose best candidate scored +Inf: the
+// scorers rate a footprint beyond int64 +Inf, so every candidate
+// overflowed and no plan can be ranked (nor encoded — JSON has no +Inf).
+func checkScored(best float64) error {
+	if math.IsInf(best, 1) {
+		return fmt.Errorf("%w: every candidate's predicted footprint", intmat.ErrOverflow)
+	}
+	return nil
 }
 
 // gridExtents writes into ext the tile extents ⌈N_k/grid_k⌉ that grid
@@ -419,4 +424,6 @@ func countFactorizations(n int64, k int, divs []int64, memo map[factKey]int) int
 	return total
 }
 
-func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
+// ceilDiv returns ⌈a/b⌉ for a ≥ 0 and b > 0; unlike (a+b−1)/b it
+// cannot overflow for an extent near MaxInt64.
+func ceilDiv(a, b int64) int64 { return a/b + min(a%b, 1) }

@@ -172,7 +172,10 @@ func OptimizeSkew(ctx context.Context, a *footprint.Analysis, procs int, maxSkew
 			continue
 		}
 		if !found || c.fp < best.PredictedFootprint {
-			t := space.tile(i)
+			t, err := space.tile(i)
+			if err != nil {
+				return SkewPlan{}, err
+			}
 			best = SkewPlan{Tile: t, PredictedFootprint: c.fp, Exactness: c.ex}
 			found = true
 			// The decision trace records only the improvements (the chain
@@ -182,13 +185,16 @@ func OptimizeSkew(ctx context.Context, a *footprint.Analysis, procs int, maxSkew
 				log.Emit("partition.skew.improved", t.String(), map[string]any{
 					"footprint": c.fp,
 					"exactness": c.ex.String(),
-					"detL":      t.Volume(),
+					"detL":      space.vol,
 				})
 			}
 		}
 	}
 	if !found {
 		return SkewPlan{}, fmt.Errorf("partition: no feasible tile of volume %d", space.vol)
+	}
+	if err := checkScored(best.PredictedFootprint); err != nil {
+		return SkewPlan{}, err
 	}
 	best.RectBaseline = scan.rectBaseline(len(space.skews))
 	sp.SetAttr("tile", best.Tile.String())
@@ -249,17 +255,20 @@ func newSkewSpace(a *footprint.Analysis, procs int, maxSkew int64) (*skewSpace, 
 	return s, nil
 }
 
-// tile materializes candidate i's tile L = D·S.
-func (s *skewSpace) tile(i int) tile.Tile {
+// tile materializes candidate i's tile L = D·S; an entry beyond int64 is
+// an error wrapping intmat.ErrOverflow.
+func (s *skewSpace) tile(i int) (tile.Tile, error) {
 	ns := len(s.skews)
-	return tile.Tile{L: intmat.Diag(s.exts[i/ns]...).Mul(s.skews[i%ns])}
+	l, err := intmat.Diag(s.exts[i/ns]...).MulChecked(s.skews[i%ns])
+	return tile.Tile{L: l}, err
 }
 
 // closedSum is candidate i's Theorem 2 footprint summed over its
 // closed-form classes from the memoized coefficients, without
-// materializing L. Each term saturates at MaxInt64 rather than wrap, and
-// the accumulation order is Analysis.TileTotalFootprint's: per class the
-// volume term, then the row terms in ascending order.
+// materializing L. A term beyond int64 makes the sum +Inf, as the per-tile
+// model scores the same overflow, and the accumulation order is
+// Analysis.TileTotalFootprint's: per class the volume term, then the row
+// terms in ascending order.
 func (s *skewSpace) closedSum(i int) float64 {
 	ns := len(s.skews)
 	ext := s.exts[i/ns]
@@ -268,9 +277,16 @@ func (s *skewSpace) closedSum(i int) float64 {
 		if !t.closed {
 			continue
 		}
-		total += float64(intmat.SatMul(s.vol, t.volCoeff))
+		v, ok := intmat.CheckedMul(s.vol, t.volCoeff)
+		if !ok {
+			return math.Inf(1)
+		}
+		total += float64(v)
 		for k, rc := range t.rowCoeff {
-			total += float64(intmat.SatMul(s.vol/ext[k], rc))
+			if v, ok = intmat.CheckedMul(s.vol/ext[k], rc); !ok {
+				return math.Inf(1)
+			}
+			total += float64(v)
 		}
 	}
 	return total
@@ -278,13 +294,17 @@ func (s *skewSpace) closedSum(i int) float64 {
 
 // score is candidate i's model footprint: the closed-form sum when every
 // class has coefficients under its skew, else the evaluator's per-tile
-// model, which enumerates the classes without a closed form and scores
-// coefficients beyond int64 as +Inf.
+// model, which enumerates the classes without a closed form. Both score a
+// footprint beyond int64 +Inf, as they do a tile matrix beyond it.
 func (s *skewSpace) score(i int) (float64, footprint.Exactness) {
 	if s.closed[i%len(s.skews)] {
 		return s.closedSum(i), footprint.Approximate
 	}
-	return s.ev.TileTotalFootprint(s.tile(i))
+	t, err := s.tile(i)
+	if err != nil {
+		return math.Inf(1), footprint.Approximate
+	}
+	return s.ev.TileTotalFootprint(t)
 }
 
 // skewCand is one candidate of a skew scan and, once evaluated, its

@@ -186,7 +186,10 @@ type commFreeFamily struct{}
 func (commFreeFamily) Name() string { return "comm-free" }
 
 func (commFreeFamily) Optimize(ctx context.Context, a *footprint.Analysis, procs int) (*FamilyPlan, error) {
-	sp, ok := FindCommFree(ctx, a, procs, true)
+	sp, ok, err := FindCommFree(ctx, a, procs, true)
+	if err != nil {
+		return nil, err
+	}
 	if !ok {
 		return nil, ErrNoCommFree
 	}

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"math"
 
 	"looppart/internal/footprint"
 	"looppart/internal/telemetry"
@@ -18,7 +19,9 @@ import (
 //
 // Lower-bound pruning is disabled here on purpose: pruning is admissible
 // only against the global minimum, and a candidate dominated by the best
-// plan can still be a legitimate runner-up.
+// plan can still be a legitimate runner-up. A candidate scored +Inf (its
+// footprint overflows int64) is no runner-up: it is never ranked, and a
+// scan with nothing else returns an error wrapping intmat.ErrOverflow.
 
 // OptimizeRectTopK returns up to k rectangular plans ranked best-first by
 // the sequential comparison (footprint, then grid balance, then
@@ -34,10 +37,13 @@ func OptimizeRectTopK(a *footprint.Analysis, procs, k int) ([]RectPlan, error) {
 	scan := scanRect(footprint.NewEvaluator(a), grids, sizes, false)
 	telemetry.Active().Counter("partition.rect.topk.candidates").Add(scan.evaluated.Load())
 	ranked := selectTopK(len(scan.cands), k,
-		func(i int) bool { return scan.cands[i].state == candEvaluated },
+		func(i int) bool { return scan.cands[i].state == candEvaluated && !math.IsInf(scan.cands[i].fp, 1) },
 		func(i, j int) bool { return better(scan.plan(i), scan.plan(j)) },
 		func(i int) string { return fmt.Sprint(scan.cands[i].ext) })
 	if len(ranked) == 0 {
+		if scan.evaluated.Load() > 0 {
+			return nil, checkScored(math.Inf(1))
+		}
 		return nil, fmt.Errorf("partition: no feasible grid of %d processors for space %v", procs, sizes)
 	}
 	out := make([]RectPlan, len(ranked))
@@ -63,17 +69,23 @@ func OptimizeSkewTopK(a *footprint.Analysis, procs int, maxSkew int64, k int) ([
 	scan := space.scan(false)
 	telemetry.Active().Counter("partition.skew.topk.candidates").Add(scan.evaluated.Load())
 	ranked := selectTopK(len(scan.cands), k,
-		func(i int) bool { return scan.cands[i].state == candEvaluated },
+		func(i int) bool { return scan.cands[i].state == candEvaluated && !math.IsInf(scan.cands[i].fp, 1) },
 		func(i, j int) bool { return scan.cands[i].fp < scan.cands[j].fp },
-		func(i int) string { return space.tile(i).L.String() })
+		// A tile beyond int64 keys as the empty matrix; ranked, it fails
+		// below.
+		func(i int) string { t, _ := space.tile(i); return t.L.String() })
 	if len(ranked) == 0 {
-		return nil, fmt.Errorf("partition: no feasible tile of volume %d", space.vol)
+		return nil, checkScored(math.Inf(1))
 	}
 	baseline := scan.rectBaseline(len(space.skews))
 	out := make([]SkewPlan, len(ranked))
 	for r, i := range ranked {
 		c := &scan.cands[i]
-		out[r] = SkewPlan{Tile: space.tile(i), PredictedFootprint: c.fp, Exactness: c.ex, RectBaseline: baseline}
+		t, err := space.tile(i)
+		if err != nil {
+			return nil, err
+		}
+		out[r] = SkewPlan{Tile: t, PredictedFootprint: c.fp, Exactness: c.ex, RectBaseline: baseline}
 	}
 	return out, nil
 }

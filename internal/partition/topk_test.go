@@ -2,10 +2,13 @@ package partition
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"looppart/internal/footprint"
+	"looppart/internal/intmat"
 	"looppart/internal/paperex"
 )
 
@@ -89,31 +92,60 @@ func TestSkewTopKFirstMatchesArgmin(t *testing.T) {
 		src    string
 		params map[string]int64
 		procs  int
+		// overflow: every candidate's Theorem 2 terms exceed int64, so the
+		// closed-form sum and the per-tile model both score +Inf, and
+		// both searches must return an error wrapping ErrOverflow rather
+		// than a plan JSON cannot encode.
+		overflow bool
 	}{
-		"example3": {paperex.Example3, map[string]int64{"N": 24}, 8},
-		"example8": {paperex.Example8, map[string]int64{"N": 24}, 8},
-		// |det G'| = 1.6e9 against a per-processor volume of 1e10: the
-		// closed-form terms exceed int64 and must saturate on both paths.
-		"overflow": {"doall (i, 1, 100000) doall (j, 1, 100000) A[40000*i, 40000*j] = A[40000*i + 1, 40000*j] + A[40000*i, 40000*j + 2] enddoall enddoall", nil, 1},
-		// The identity skew's coefficients fit in int64, a shear's do not:
-		// that shear's candidates score through the overflow-checked tile
-		// model instead of leaving the class out of the sum.
-		"overflow-shear": {"doall (i, 1, 8) doall (j, 1, 8) A[3100000000000000000*i, j] = A[3100000000000000000*i, j + 1] + A[3100000000000000000*i, j + 2] enddoall enddoall", nil, 4},
+		"example3": {paperex.Example3, map[string]int64{"N": 24}, 8, false},
+		"example8": {paperex.Example8, map[string]int64{"N": 24}, 8, false},
+		// |det G'| = 1.6e9 against a per-processor volume of 1e10: every
+		// volume term is 1.6e19.
+		"overflow": {"doall (i, 1, 100000) doall (j, 1, 100000) A[40000*i, 40000*j] = A[40000*i + 1, 40000*j] + A[40000*i, 40000*j + 2] enddoall enddoall", nil, 1, true},
+		// The identity candidates' volume term is 16 × 3.1e18, and every
+		// shear keeps |det G'|.
+		"overflow-shear": {"doall (i, 1, 8) doall (j, 1, 8) A[3100000000000000000*i, j] = A[3100000000000000000*i, j + 1] + A[3100000000000000000*i, j + 2] enddoall enddoall", nil, 4, true},
+		// At volume 1 the identity skew's terms fit (3.1e18 and 2·3.1e18),
+		// a ±2 shear's row terms (4·3.1e18) do not: those candidates score
+		// +Inf, are never ranked, and the finite identity wins.
+		"overflow-shear-only": {"doall (i, 1, 8) doall (j, 1, 8) A[3100000000000000000*i, j] = A[3100000000000000000*i, j + 1] + A[3100000000000000000*i, j + 2] enddoall enddoall", nil, 64, false},
 	} {
 		a := analysisFor(t, tc.src, tc.params)
 		argmin, err := OptimizeSkew(context.Background(), a, tc.procs, 2)
+		top, topErr := OptimizeSkewTopK(a, tc.procs, 2, 3)
+		if tc.overflow {
+			if !errors.Is(err, intmat.ErrOverflow) || !errors.Is(topErr, intmat.ErrOverflow) {
+				t.Errorf("%s: argmin %v, %v; top-K %v, %v; want errors wrapping ErrOverflow", name, argmin, err, top, topErr)
+			}
+			continue
+		}
+		if name == "overflow-shear-only" {
+			space, err := newSkewSpace(a, tc.procs, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inf := 0
+			for _, c := range space.scan(false).cands {
+				if math.IsInf(c.fp, 1) {
+					inf++
+				}
+			}
+			if inf == 0 {
+				t.Errorf("%s: no candidate overflowed; the case no longer tests what it names", name)
+			}
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		top, err := OptimizeSkewTopK(a, tc.procs, 2, 3)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if topErr != nil {
+			t.Fatalf("%s: %v", name, topErr)
 		}
 		if got, want := top[0].Tile.String(), argmin.Tile.String(); got != want {
 			t.Errorf("%s: topk[0] tile %s, argmin tile %s", name, got, want)
 		}
-		if argmin.PredictedFootprint <= 0 {
-			t.Errorf("%s: argmin %v scores no footprint; every tile touches an element", name, argmin)
+		if argmin.PredictedFootprint <= 0 || math.IsInf(argmin.PredictedFootprint, 1) {
+			t.Errorf("%s: argmin %v scores no finite footprint; every tile touches an element", name, argmin)
 		}
 		if top[0].PredictedFootprint != argmin.PredictedFootprint {
 			t.Errorf("%s: topk[0] fp %.4g, argmin fp %.4g",
@@ -122,6 +154,9 @@ func TestSkewTopKFirstMatchesArgmin(t *testing.T) {
 		for i := 1; i < len(top); i++ {
 			if top[i].PredictedFootprint < top[i-1].PredictedFootprint {
 				t.Errorf("%s: rank %d better than rank %d", name, i, i-1)
+			}
+			if math.IsInf(top[i].PredictedFootprint, 1) {
+				t.Errorf("%s: rank %d scored +Inf; overflowed candidates are never ranked", name, i)
 			}
 		}
 	}

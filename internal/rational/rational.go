@@ -6,9 +6,14 @@
 // whether a reference matrix is unimodular, whether an offset vector lies on
 // a lattice, or whether two candidate tiles have exactly equal footprint
 // sizes all require exact comparisons. math/big would work but is heap-heavy
-// for the small magnitudes that occur in subscript matrices (entries are
-// almost always in [-16, 16]); this package keeps everything in registers
-// and panics loudly on the (never observed in practice) event of overflow.
+// for the small magnitudes that occur in tile matrices; this package keeps
+// everything in registers and panics on int64 overflow. Request-sized
+// subscripts do overflow it, so the analysis keeps Rat off every path a
+// subscript reaches: rank, independent columns, lattice membership and the
+// Theorem 4 solve all run on intmat's overflow-checked integer
+// eliminations. What remains on Rat — tile inversion and the polytope
+// bounds of skewed tiles — sees only tile entries, which overflow only at
+// extents near 2³¹ and above.
 package rational
 
 import (
@@ -167,11 +172,6 @@ func (r Rat) Equal(s Rat) bool { return r.Cmp(s) == 0 }
 // Less reports whether r < s.
 func (r Rat) Less(s Rat) bool { return r.Cmp(s) < 0 }
 
-// Float returns the nearest float64 to r.
-func (r Rat) Float() float64 {
-	return float64(r.num) / float64(r.Den())
-}
-
 // Floor returns the greatest integer <= r.
 func (r Rat) Floor() int64 {
 	r = r.norm()
@@ -271,10 +271,3 @@ func checkedMul(a, b int64) int64 {
 	}
 	return p
 }
-
-// CheckedMulInt exposes overflow-checked int64 multiplication for callers
-// that accumulate products of tile extents.
-func CheckedMulInt(a, b int64) int64 { return checkedMul(a, b) }
-
-// CheckedAddInt exposes overflow-checked int64 addition.
-func CheckedAddInt(a, b int64) int64 { return checkedAdd(a, b) }

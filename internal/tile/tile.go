@@ -14,6 +14,7 @@ package tile
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -109,27 +110,20 @@ func (t Tile) Extents() []int64 {
 	return e
 }
 
-// Volume returns |det L|, the (approximate) number of iterations per tile
-// (Proposition 2).
-func (t Tile) Volume() int64 {
-	d := t.L.Det()
+// Volume returns |det L|, the number of integer points assigned to the
+// tile at the origin under the half-open convention 0 ≤ aᵢ < 1
+// (Proposition 2: every unimodular-coordinate cell of a lattice tiling
+// holds exactly |det L| points; for rectangular tiles the product of the
+// extents). A volume beyond int64 is an error wrapping intmat.ErrOverflow.
+func (t Tile) Volume() (int64, error) {
+	d, err := t.L.DetChecked()
+	if d == math.MinInt64 {
+		return 0, fmt.Errorf("%w: tile volume 2^63", intmat.ErrOverflow)
+	}
 	if d < 0 {
-		return -d
+		d = -d
 	}
-	return d
-}
-
-// PointCount returns the exact number of integer points assigned to the
-// tile at the origin under the half-open convention 0 ≤ aᵢ < 1. For
-// rectangular tiles this is the volume (Proposition 3 counts the closed
-// tile; our half-open tiles partition the space with no double counting).
-func (t Tile) PointCount() int64 {
-	if t.IsRect() {
-		return t.Volume()
-	}
-	// Every unimodular-coordinate cell of a lattice tiling contains
-	// exactly |det L| integer points.
-	return t.Volume()
+	return d, err
 }
 
 // String renders the tile.
@@ -471,7 +465,9 @@ func sameVec(a, b []int64) bool {
 	return true
 }
 
-func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
+// ceilDiv returns ⌈a/b⌉ for a ≥ 0 and b > 0; unlike (a+b−1)/b it
+// cannot overflow for an extent near MaxInt64.
+func ceilDiv(a, b int64) int64 { return a/b + min(a%b, 1) }
 
 // ProcOf returns the processor that executes iteration p.
 func (a *Assignment) ProcOf(p []int64) int {

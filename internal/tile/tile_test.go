@@ -14,8 +14,8 @@ func TestRect(t *testing.T) {
 	if !tl.IsRect() {
 		t.Fatal("Rect not rect")
 	}
-	if tl.Volume() != 200 || tl.PointCount() != 200 {
-		t.Fatalf("volume = %d", tl.Volume())
+	if v := volume(t, tl); v != 200 {
+		t.Fatalf("volume = %d", v)
 	}
 	e := tl.Extents()
 	if e[0] != 10 || e[1] != 20 {
@@ -41,8 +41,8 @@ func TestParallelepiped(t *testing.T) {
 	if tl.IsRect() {
 		t.Fatal("skewed tile reported rect")
 	}
-	if tl.Volume() != 20 {
-		t.Fatalf("volume = %d", tl.Volume())
+	if v := volume(t, tl); v != 20 {
+		t.Fatalf("volume = %d", v)
 	}
 }
 
@@ -79,8 +79,8 @@ func TestFromHyperplanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tl2.Volume() != 20 {
-		t.Fatalf("skew tile volume = %d, L = %v", tl2.Volume(), tl2.L)
+	if v := volume(t, tl2); v != 20 {
+		t.Fatalf("skew tile volume = %d, L = %v", v, tl2.L)
 	}
 	// Singular H.
 	if _, err := FromHyperplanes(intmat.FromRows([][]int64{{1, 1}, {2, 2}}), []int64{1, 1}); err == nil {
@@ -282,7 +282,7 @@ func TestTilingPartitionInvariant(t *testing.T) {
 				{int64(rng.Intn(4) + 1), int64(rng.Intn(5) - 2)},
 				{int64(rng.Intn(5) - 2), int64(rng.Intn(4) + 1)},
 			})
-			if l.Det() != 0 {
+			if d, _ := l.DetChecked(); d != 0 {
 				break
 			}
 		}
@@ -412,7 +412,7 @@ func TestLoopBoundsForMatchesCoordMembership(t *testing.T) {
 				{int64(rng.Intn(4) + 2), int64(rng.Intn(5) - 2)},
 				{int64(rng.Intn(5) - 2), int64(rng.Intn(4) + 2)},
 			})
-			if l.Det() != 0 {
+			if d, _ := l.DetChecked(); d != 0 {
 				break
 			}
 		}
@@ -478,8 +478,8 @@ func TestOriginPoints(t *testing.T) {
 	// Skewed: |det L| points under the half-open convention.
 	l := intmat.FromRows([][]int64{{3, 3}, {0, 2}})
 	got := OriginPoints(Parallelepiped(l))
-	if int64(len(got)) != Parallelepiped(l).Volume() {
-		t.Fatalf("skew origin points = %d, want %d", len(got), Parallelepiped(l).Volume())
+	if v := volume(t, Parallelepiped(l)); int64(len(got)) != v {
+		t.Fatalf("skew origin points = %d, want %d", len(got), v)
 	}
 }
 
@@ -567,8 +567,8 @@ func diagUnimodular(l intmat.Mat) bool {
 		}
 		prod *= g
 	}
-	det := l.Det()
-	return det == prod || det == -prod
+	det, err := l.DetChecked()
+	return err == nil && (det == prod || det == -prod)
 }
 
 func gcd(a, b int64) int64 {
@@ -592,8 +592,8 @@ func TestForEachPointMatchesOriginPoints(t *testing.T) {
 	check := func(tl Tile) {
 		t.Helper()
 		got, calls := walkPoints(t, tl)
-		if calls != tl.Volume() {
-			t.Fatalf("%v: %d callbacks, want |det L| = %d", tl, calls, tl.Volume())
+		if v := volume(t, tl); calls != v {
+			t.Fatalf("%v: %d callbacks, want |det L| = %d", tl, calls, v)
 		}
 		if int64(len(got)) != calls {
 			t.Fatalf("%v: %d callbacks but %d distinct points", tl, calls, len(got))
@@ -633,7 +633,7 @@ func TestForEachPointMatchesOriginPoints(t *testing.T) {
 			continue
 		}
 		n++
-		if l.Det() < 0 {
+		if det, _ := l.DetChecked(); det < 0 {
 			negDet[d]++
 		}
 		if !diagUnimodular(l) {
@@ -684,7 +684,16 @@ func TestForEachPointAllocsDoNotGrow(t *testing.T) {
 		small, large := allocs(pair[0]), allocs(pair[1])
 		if large > small {
 			t.Errorf("allocations grow with |det L|: %v for %d points, %v for %d points",
-				small, pair[0].Volume(), large, pair[1].Volume())
+				small, volume(t, pair[0]), large, volume(t, pair[1]))
 		}
 	}
+}
+
+func volume(t testing.TB, tl Tile) int64 {
+	t.Helper()
+	v, err := tl.Volume()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

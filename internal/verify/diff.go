@@ -64,10 +64,16 @@ func DiffAnalysis(a *footprint.Analysis, tol float64) (DiffResult, error) {
 // DiffClassRect compares one class's rectangular-tile model against exact
 // enumeration under the documented disagreement rules (see
 // compareModelExact). It reports whether the comparison ran in the
-// approximate regime.
+// approximate regime. An enumeration whose element indices overflow
+// int64 returns that error (it wraps intmat.ErrOverflow): there is no
+// exact count to compare against.
 func DiffClassRect(c footprint.Class, ext []int64, tol float64) (approx bool, err error) {
 	model, ex := c.RectFootprint(ext)
-	exact := float64(footprint.ExactClassFootprintFunc(c, rectForEach(ext)))
+	n, err := footprint.ExactClassFootprintFunc(c, rectForEach(ext))
+	if err != nil {
+		return false, err
+	}
+	exact := float64(n)
 	tight := ex != footprint.Approximate || rectModelDomain(c, ext)
 	if bad := compareModelExact(c, model, ex, exact, float64(rectVolume(ext)), tight, tol); bad != "" {
 		return ex == footprint.Approximate, fmt.Errorf("%s", bad)
@@ -81,12 +87,20 @@ func DiffClassRect(c footprint.Class, ext []int64, tol float64) (approx bool, er
 // the sandwich invariants.
 func DiffClassTile(c footprint.Class, t tile.Tile, tol float64) (approx bool, err error) {
 	model, ex := c.TileFootprint(t)
-	exact := float64(footprint.ExactClassFootprint(c, tile.OriginPoints(t)))
+	n, err := footprint.ExactClassFootprint(c, tile.OriginPoints(t))
+	if err != nil {
+		return false, err
+	}
+	vol, err := t.Volume()
+	if err != nil {
+		return false, err
+	}
+	exact := float64(n)
 	tight := ex != footprint.Approximate
 	if t.IsRect() {
 		tight = tight || rectModelDomain(c, t.Extents())
 	}
-	if bad := compareModelExact(c, model, ex, exact, float64(t.PointCount()), tight, tol); bad != "" {
+	if bad := compareModelExact(c, model, ex, exact, float64(vol), tight, tol); bad != "" {
 		return ex == footprint.Approximate, fmt.Errorf("%s", bad)
 	}
 	return ex == footprint.Approximate, nil
@@ -98,8 +112,8 @@ func DiffClassTile(c footprint.Class, t tile.Tile, tol float64) (approx bool, er
 // quantitative accuracy. Outside this regime boundary terms dominate and
 // only the sandwich invariants are enforced.
 func rectModelDomain(c footprint.Class, ext []int64) bool {
-	u, _, ok := c.SpreadCoeffs()
-	if !ok {
+	u, _, ok, err := c.SpreadCoeffs()
+	if !ok || err != nil {
 		return false
 	}
 	for k, ui := range u {
@@ -168,11 +182,14 @@ func analyzeSource(src string) (*footprint.Analysis, error) {
 // assumes independent generators; dependent sets are skipped.
 func UnionSizeAgainstEnumeration(gen [][]int64, bounds, u []int64) error {
 	m := intmat.FromRows(gen)
-	if !intmat.IsOneToOne(m) {
-		return nil
+	if indep, err := intmat.IsOneToOne(m); err != nil || !indep {
+		return nil // unrepresentable elimination: nothing to compare
 	}
 	b := lattice.New(m, bounds)
-	base := b.Points()
+	base, err := b.Points()
+	if err != nil {
+		return nil // unrepresentable points: nothing to compare
+	}
 	t, err := b.Gen.MulVecChecked(u)
 	if err != nil {
 		return nil // unrepresentable translation: nothing to compare

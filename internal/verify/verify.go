@@ -24,10 +24,12 @@
 package verify
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"looppart/internal/footprint"
+	"looppart/internal/intmat"
 	"looppart/internal/telemetry"
 	"looppart/internal/tile"
 )
@@ -218,7 +220,11 @@ func (pc *PlanCheck) checkTileOccupancy(r *Report) {
 		r.add(name, false, "tiling construction: "+err.Error())
 		return
 	}
-	cap := pc.Tile.PointCount()
+	cap, err := pc.Tile.Volume()
+	if err != nil {
+		r.add(name, false, "tile volume: "+err.Error())
+		return
+	}
 	occ := make(map[string]int64)
 	var sum int64
 	visited, _ := pc.forEachSampled(func(p []int64) bool {
@@ -244,16 +250,18 @@ func (pc *PlanCheck) checkTileOccupancy(r *Report) {
 // per-class predictions, so per-class comparison is strictly stronger):
 // Exact and Enumerated predictions must match to the point; Approximate
 // predictions follow the domain-aware rules of compareModelExact. Tiles
-// too large to enumerate are skipped (reported as passing with a detail
-// note — the model is the only information).
+// too large to enumerate, and tiles whose element indices overflow int64,
+// are skipped (reported as passing with a detail note — the model is the
+// only information).
 func (pc *PlanCheck) checkFootprintModel(r *Report) {
 	name := "footprint-model"
 	t := *pc.Tile
-	vol := t.PointCount()
-	if vol > pc.budget() {
-		r.add(name, true, fmt.Sprintf("tile volume %d above point budget, model unchecked", vol))
+	vol, err := t.Volume()
+	if err != nil || vol > pc.budget() {
+		r.add(name, true, "tile volume above point budget, model unchecked")
 		return
 	}
+	note := ""
 	for _, c := range pc.Analysis.Classes {
 		var err error
 		if t.IsRect() {
@@ -261,12 +269,16 @@ func (pc *PlanCheck) checkFootprintModel(r *Report) {
 		} else {
 			_, err = DiffClassTile(c, t, pc.tolerance())
 		}
+		if errors.Is(err, intmat.ErrOverflow) {
+			note = fmt.Sprintf("class %v: element indices overflow int64, model unchecked", c)
+			continue
+		}
 		if err != nil {
 			r.add(name, false, fmt.Sprintf("class %v: %v", c, err))
 			return
 		}
 	}
-	r.add(name, true, "")
+	r.add(name, true, note)
 }
 
 // compareModelExact applies the documented disagreement rules between one

@@ -86,7 +86,7 @@ func parse(ctx context.Context, src string, params map[string]int64) (*Program, 
 			"invariant": c.FootprintInvariant(),
 			"has_write": c.HasWrite(),
 		}
-		if u, _, ok := c.SpreadCoeffs(); ok {
+		if u, _, ok, err := c.SpreadCoeffs(); ok && err == nil {
 			fields["coeffs"] = fmt.Sprint(u)
 		}
 		log.Emit("analysis.class", fmt.Sprintf("class%d.%s", i, c.Array), fields)
@@ -108,7 +108,8 @@ type Strategy int
 
 const (
 	// Auto prefers a communication-free partition when one exists, and
-	// otherwise the footprint-optimal rectangular partition.
+	// otherwise the footprint-optimal rectangular partition. When int64
+	// overflow leaves existence undecided it returns that error.
 	Auto Strategy = iota
 	// Rect searches rectangular tiles (Theorem 4 objective).
 	Rect
@@ -217,11 +218,17 @@ func (pr *Program) PartitionCtx(ctx context.Context, procs int, strategy Strateg
 			})
 			return pr.PartitionCtx(ctx, procs, Oblivious)
 		}
-		if plan, err := pr.PartitionCtx(ctx, procs, CommFree); err == nil {
+		plan, err := pr.PartitionCtx(ctx, procs, CommFree)
+		if err == nil {
 			log.Emit("strategy.auto", "comm-free", map[string]any{
 				"reason": "a communication-free hyperplane partition exists",
 			})
 			return plan, nil
+		}
+		if !errors.Is(err, errNoCommFree) {
+			// Overflow left the comm-free question undecided: answering
+			// with rectangles would presume it was decided negatively.
+			return nil, err
 		}
 		log.Emit("strategy.auto", "rect", map[string]any{
 			"reason": "no communication-free partition; falling back to footprint-optimal rectangles",
@@ -251,6 +258,10 @@ func (pr *Program) PartitionCtx(ctx context.Context, procs int, strategy Strateg
 	}
 }
 
+// errNoCommFree is the comm-free strategy's answer for a nest that has no
+// communication-free partition; Auto falls back to rectangles on it.
+var errNoCommFree = errors.New("looppart: no communication-free partition exists for this nest")
+
 // familyPlan routes a strategy through the partition.Family registry and
 // lifts the family-independent result into a Plan.
 func (pr *Program) familyPlan(ctx context.Context, strategy Strategy, procs int) (*Plan, error) {
@@ -261,7 +272,7 @@ func (pr *Program) familyPlan(ctx context.Context, strategy Strategy, procs int)
 	fp, err := fam.Optimize(ctx, pr.Analysis, procs)
 	if err != nil {
 		if errors.Is(err, partition.ErrNoCommFree) {
-			return nil, fmt.Errorf("looppart: no communication-free partition exists for this nest")
+			return nil, errNoCommFree
 		}
 		return nil, err
 	}

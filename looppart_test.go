@@ -15,7 +15,10 @@ func TestParseAndReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := prog.Report()
+	r, err := prog.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Classes) != 4 {
 		t.Fatalf("classes = %d", len(r.Classes))
 	}

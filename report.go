@@ -42,8 +42,10 @@ type ClassReport struct {
 	HasWrite  bool
 }
 
-// Report computes the analysis summary.
-func (pr *Program) Report() Report {
+// Report computes the analysis summary. A Theorem 4 decomposition or
+// comm-free elimination beyond int64 is an error wrapping
+// intmat.ErrOverflow.
+func (pr *Program) Report() (Report, error) {
 	a := pr.Analysis
 	r := Report{Vars: a.Vars}
 	for _, c := range a.Classes {
@@ -58,15 +60,26 @@ func (pr *Program) Report() Report {
 		for _, ref := range c.Refs {
 			cr.Offsets = append(cr.Offsets, ref.A)
 		}
-		if u, _, ok := c.SpreadCoeffs(); ok {
+		u, _, ok, err := c.SpreadCoeffs()
+		if err != nil {
+			return Report{}, err
+		}
+		if ok {
 			cr.Coeffs = u
 		}
 		r.Classes = append(r.Classes, cr)
 	}
-	r.RectCoeffs, r.HasClosed = partition.ContinuousRatios(a)
-	r.DataCoeffs, r.HasClosedData = partition.ContinuousRatiosData(a)
-	r.CommFreeDirs = partition.CommFreeNormals(a, true)
-	return r
+	var err error
+	if r.RectCoeffs, r.HasClosed, err = partition.ContinuousRatios(a); err != nil {
+		return Report{}, err
+	}
+	if r.DataCoeffs, r.HasClosedData, err = partition.ContinuousRatiosData(a); err != nil {
+		return Report{}, err
+	}
+	if r.CommFreeDirs, err = partition.CommFreeNormals(a, true); err != nil {
+		return Report{}, err
+	}
+	return r, nil
 }
 
 // String renders the report for the CLI.

@@ -58,6 +58,12 @@ go test -fuzz=FuzzHNF -fuzztime=10s -run '^$' ./internal/verify
 echo '== fuzz smoke: served-plan pipeline (10s) =='
 go test -fuzz=FuzzPlanPipeline -fuzztime=10s -run '^$' .
 
+echo '== fuzz smoke: served-plan pipeline on int64-range numbers (10s) =='
+go test -fuzz=FuzzPlanNumbers -fuzztime=10s -run '^$' .
+
+echo '== adversarial-number corpus, uninstrumented (race builds run 300 of its nests) =='
+go test -count=1 -run '^TestPlanNumbersCorpus$' .
+
 echo '== fuzz smoke: communication-set cross-check (10s) =='
 go test -fuzz=FuzzCommSets -fuzztime=10s -run '^$' ./internal/verify
 
@@ -228,10 +234,23 @@ done
 grep -q 'verify-smoke-trace' "$smokedir/requests.log"
 curl -sf "http://$addr/debug/cache" | grep -q '"top_keys"'
 
+# A request whose comm-free search overflows int64 is a 422 naming the
+# overflow, not a crashed daemon: /healthz still answers, and the drain
+# below still prints its summary.
+ovfreq='{"source":"doall (i, 1, 64)\n doall (j, 1, 64)\n  A[i, j] = A[i+4611686018427387904, j+1] + A[i, j+2]\n enddoall\nenddoall","procs":4}'
+ovfcode=$(curl -s -o "$smokedir/ovfresp" -w '%{http_code}' \
+	-H 'Content-Type: application/json' --data "$ovfreq" "http://$addr/v1/plan")
+[ "$ovfcode" = 422 ] && grep -q 'int64 overflow' "$smokedir/ovfresp" || {
+	echo "verify: overflowing request answered $ovfcode, want 422 naming the overflow" >&2
+	cat "$smokedir/ovfresp" >&2
+	exit 1
+}
+curl -sf "http://$addr/healthz" | grep -q '"status":"ok"'
+
 kill -TERM "$daemon_pid"
 wait "$daemon_pid"
 daemon_pid=
-grep -q 'served 4 requests (2 searches, 2 cache hits)' "$smokedir/daemon.log"
+grep -q 'served 5 requests (3 searches, 2 cache hits)' "$smokedir/daemon.log"
 
 echo '== smoke: -strategies gating and the ?commsets=1 optimality score =='
 # A daemon restricted to rect,skew,lowerbound ("skew" is the accepted
