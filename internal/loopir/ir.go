@@ -327,6 +327,7 @@ func (n *Nest) Validate() error {
 	}
 	seen := map[string]bool{}
 	sawDoall := false
+	points := int64(1) // doall iterations, for the overflow check below
 	for _, l := range n.Loops {
 		if seen[l.Var] {
 			return fmt.Errorf("loopir: duplicate loop variable %q", l.Var)
@@ -338,6 +339,18 @@ func (n *Nest) Validate() error {
 		switch l.Kind {
 		case Doall:
 			sawDoall = true
+			if l.SymHi != "" {
+				break
+			}
+			// Every partition search sizes its tiles from the doall
+			// space's extents and point count, so both must fit in int64.
+			ok := uint64(l.Hi)-uint64(l.Lo) < math.MaxInt64 // Hi−Lo, exact in uint64
+			if ok {
+				points, ok = intmat.CheckedMul(points, l.Extent())
+			}
+			if !ok {
+				return fmt.Errorf("%w: the doall iteration space through loop %s has more than 2^63-1 points", intmat.ErrOverflow, l.Var)
+			}
 		case Doseq:
 			if sawDoall {
 				return fmt.Errorf("loopir: doseq %q nested inside doall", l.Var)
@@ -346,21 +359,6 @@ func (n *Nest) Validate() error {
 	}
 	if !sawDoall {
 		return fmt.Errorf("loopir: nest has no doall loop")
-	}
-	// Every partition search sizes its tiles from the doall space's
-	// extents and point count, so both must fit in int64.
-	points := int64(1)
-	for _, l := range n.DoallLoops() {
-		if l.SymHi != "" {
-			continue
-		}
-		ok := uint64(l.Hi)-uint64(l.Lo) < math.MaxInt64 // Hi−Lo, exact in uint64
-		if ok {
-			points, ok = intmat.CheckedMul(points, l.Extent())
-		}
-		if !ok {
-			return fmt.Errorf("%w: the doall iteration space through loop %s has more than 2^63-1 points", intmat.ErrOverflow, l.Var)
-		}
 	}
 	for _, acc := range n.Accesses() {
 		for _, sub := range acc.Ref.Subs {
