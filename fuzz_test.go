@@ -87,10 +87,10 @@ func numbersPlannable(n *loopir.Nest) bool {
 	}
 	space := int64(1)
 	for _, l := range n.Loops {
-		if l.SymHi != "" || l.Lo < -32 || l.Hi > 32 {
+		if l.SymHi != "" || l.Lo < -64 || l.Hi > 64 {
 			return false
 		}
-		if space *= l.Extent(); space > 1<<10 {
+		if space *= l.Extent(); space > 1<<12 {
 			return false
 		}
 	}
