@@ -131,7 +131,7 @@ func (m Mat) MulChecked(n Mat) (Mat, error) {
 // iterations are row vectors multiplied on the left), reporting overflow.
 func (m Mat) MulVecChecked(v []int64) ([]int64, error) {
 	if len(v) != m.rows {
-		return nil, fmt.Errorf("intmat: MulVec length mismatch: %d coefficients for %d rows", len(v), m.rows)
+		return nil, fmt.Errorf("intmat: MulVecChecked length mismatch: %d coefficients for %d rows", len(v), m.rows)
 	}
 	out := make([]int64, m.cols)
 	if err := m.MulVecInto(v, out); err != nil {

@@ -146,7 +146,7 @@ func floorDiv(a, b int64) int64 {
 // returned u is one valid solution.
 func SolveIntLeftChecked(a Mat, t []int64) (u []int64, ok bool, err error) {
 	if len(t) != a.cols {
-		return nil, false, fmt.Errorf("intmat: SolveIntLeft length mismatch: %d components for %d columns", len(t), a.cols)
+		return nil, false, fmt.Errorf("intmat: SolveIntLeftChecked length mismatch: %d components for %d columns", len(t), a.cols)
 	}
 	hr, err := HNFChecked(a)
 	if err != nil {

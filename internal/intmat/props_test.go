@@ -92,7 +92,7 @@ func TestSolveIntLeftRoundTrip(t *testing.T) {
 			continue // reported overflow is a legal outcome
 		}
 		if in, err := intmat.InRowLattice(a, b); err != nil || ok != in {
-			t.Fatalf("SolveIntLeft solvable=%v disagrees with InRowLattice for A=%v b=%v", ok, a, b)
+			t.Fatalf("SolveIntLeftChecked solvable=%v disagrees with InRowLattice for A=%v b=%v", ok, a, b)
 		}
 		if !ok {
 			continue
