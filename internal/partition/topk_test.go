@@ -97,19 +97,21 @@ func TestSkewTopKFirstMatchesArgmin(t *testing.T) {
 		// both searches must return an error wrapping ErrOverflow rather
 		// than a plan JSON cannot encode.
 		overflow bool
+		// someInf: some candidates, not all, score +Inf.
+		someInf bool
 	}{
-		"example3": {paperex.Example3, map[string]int64{"N": 24}, 8, false},
-		"example8": {paperex.Example8, map[string]int64{"N": 24}, 8, false},
+		"example3": {paperex.Example3, map[string]int64{"N": 24}, 8, false, false},
+		"example8": {paperex.Example8, map[string]int64{"N": 24}, 8, false, false},
 		// |det G'| = 1.6e9 against a per-processor volume of 1e10: every
 		// volume term is 1.6e19.
-		"overflow": {"doall (i, 1, 100000) doall (j, 1, 100000) A[40000*i, 40000*j] = A[40000*i + 1, 40000*j] + A[40000*i, 40000*j + 2] enddoall enddoall", nil, 1, true},
+		"overflow": {"doall (i, 1, 100000) doall (j, 1, 100000) A[40000*i, 40000*j] = A[40000*i + 1, 40000*j] + A[40000*i, 40000*j + 2] enddoall enddoall", nil, 1, true, false},
 		// The identity candidates' volume term is 16 × 3.1e18, and every
 		// shear keeps |det G'|.
-		"overflow-shear": {"doall (i, 1, 8) doall (j, 1, 8) A[3100000000000000000*i, j] = A[3100000000000000000*i, j + 1] + A[3100000000000000000*i, j + 2] enddoall enddoall", nil, 4, true},
+		"overflow-shear": {"doall (i, 1, 8) doall (j, 1, 8) A[3100000000000000000*i, j] = A[3100000000000000000*i, j + 1] + A[3100000000000000000*i, j + 2] enddoall enddoall", nil, 4, true, false},
 		// At volume 1 the identity skew's terms fit (3.1e18 and 2·3.1e18),
 		// a ±2 shear's row terms (4·3.1e18) do not: those candidates score
 		// +Inf, are never ranked, and the finite identity wins.
-		"overflow-shear-only": {"doall (i, 1, 8) doall (j, 1, 8) A[3100000000000000000*i, j] = A[3100000000000000000*i, j + 1] + A[3100000000000000000*i, j + 2] enddoall enddoall", nil, 64, false},
+		"overflow-shear-only": {"doall (i, 1, 8) doall (j, 1, 8) A[3100000000000000000*i, j] = A[3100000000000000000*i, j + 1] + A[3100000000000000000*i, j + 2] enddoall enddoall", nil, 64, false, true},
 	} {
 		a := analysisFor(t, tc.src, tc.params)
 		argmin, err := OptimizeSkew(context.Background(), a, tc.procs, 2)
@@ -120,7 +122,7 @@ func TestSkewTopKFirstMatchesArgmin(t *testing.T) {
 			}
 			continue
 		}
-		if name == "overflow-shear-only" {
+		if tc.someInf {
 			space, err := newSkewSpace(a, tc.procs, 2)
 			if err != nil {
 				t.Fatal(err)
